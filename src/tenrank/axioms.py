@@ -26,7 +26,7 @@ import numpy as np
 from . import generators as gen
 from .linalg import DEFAULT_TOL, RankTolerance, matrix_rank
 from .ranks import RankFunction, n_rank, _submax
-from .tensor import DenseTensor, IndexSelection, add, permute_modes, scale, subtensor
+from .tensor import DenseTensor, IndexSelection, add, identity_tensor, permute_modes, scale, subtensor
 
 __all__ = [
     "Fixture",
@@ -101,7 +101,7 @@ def standard_fixtures(
     for m in (2, 3, 4):
         for n in (1, 2, 3, 4):
             fixtures.append(
-                Fixture(f"identity_{m}_{n}", gen.identity(m, n), "identity", True, identity_n=n)
+                Fixture(f"identity_{m}_{n}", identity_tensor(m, n), "identity", True, identity_n=n)
             )
 
     rng = np.random.default_rng((seed, 2))

@@ -13,19 +13,18 @@ from pathlib import Path
 from . import generators as gen
 from .axioms import axiom_report, standard_fixtures, write_report
 from .errors import CapacityError, FormatError, NumericError
-from .fullrank import DEFAULT_CAP, extract_brute_force, extract_max_tucker
+from .fullrank import DEFAULT_CAP, closure_eval, extract_brute_force, extract_max_tucker
 from .io import read_tensor, write_tensor
-from .linalg import DEFAULT_TOL, RankTolerance
+from .linalg import RankTolerance
 from .ranks import max_tucker, n_rank, submax_tucker
+from .tensor import identity_tensor
 from .tucker import (
+    METHODS,
     SweepConfig,
     default_sweep_config,
     generate_sweep_source,
-    hooi,
-    hosvd,
     run_sweep,
     save_model,
-    st_hosvd,
     sweep_to_csv,
 )
 
@@ -36,20 +35,17 @@ EXIT_IO = 3
 EXIT_CAPACITY = 4
 EXIT_NUMERIC = 5
 
+# --fn value -> rank-function factory; verbs print the built function's own name
+RANK_FUNCTIONS = {"max": max_tucker, "submax": submax_tucker}
+
 
 def _tolerance(args) -> RankTolerance:
-    if args.tol is None and args.tol_mode == "relative":
-        return DEFAULT_TOL
-    return RankTolerance(mode=args.tol_mode, value=args.tol)
+    return RankTolerance(args.tol_mode, args.tol)
 
 
 def _add_tol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None, help="rank tolerance value (default: max(rows,cols)*eps, relative)")
     p.add_argument("--tol-mode", choices=("relative", "absolute"), default="relative")
-
-
-def _rank_fn(name: str, tol: RankTolerance):
-    return {"max": max_tucker, "submax": submax_tucker}[name](tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="evaluate one scalar rank")
     p.add_argument("file")
-    p.add_argument("--fn", choices=("max", "submax"), required=True)
+    p.add_argument("--fn", choices=RANK_FUNCTIONS, required=True)
     _add_tol_flags(p)
 
     p = sub.add_parser("nrank", help="per-mode unfolding ranks")
@@ -92,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fullrank", help="extract a maximum full-rank subtensor")
     p.add_argument("file")
-    p.add_argument("--fn", choices=("max", "submax"), default="max")
+    p.add_argument("--fn", choices=RANK_FUNCTIONS, default="max")
     p.add_argument("--brute", action="store_true", help="use the enumeration oracle")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--out-subtensor", help="write the extracted subtensor here")
@@ -100,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="closure value of a rank function")
     p.add_argument("file")
-    p.add_argument("--fn", choices=("max", "submax"), required=True)
+    p.add_argument("--fn", choices=RANK_FUNCTIONS, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_tol_flags(p)
 
     p = sub.add_parser("axioms", help="run the rank-function axiom battery")
-    p.add_argument("--fn", choices=("max", "submax"), required=True)
+    p.add_argument("--fn", choices=RANK_FUNCTIONS, required=True)
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--witness-dir", help="directory for counterexample tensors")
     p.add_argument("--seed", type=int, default=0)
@@ -115,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tucker", help="fit a Tucker model")
     p.add_argument("file")
     p.add_argument("--ranks", type=int, nargs="+", required=True)
-    p.add_argument("--method", choices=("hosvd", "st_hosvd", "hooi"), default="hosvd")
+    p.add_argument("--method", choices=METHODS, default="hosvd")
     p.add_argument("--outdir", required=True)
     p.add_argument("--max-iters", type=int, default=100)
 
@@ -136,7 +132,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "identity":
         if args.m is None or args.n is None:
             raise ValueError("identity needs --m and --n")
-        t = gen.identity(args.m, args.n)
+        t = identity_tensor(args.m, args.n)
     elif args.kind == "counterexample-2x3x4":
         t = gen.counterexample_2x3x4()
     elif args.kind == "counterexample-3x2x2":
@@ -166,9 +162,8 @@ def _need_shape(args) -> tuple[int, ...]:
 def _cmd_rank(args) -> int:
     tol = _tolerance(args)
     x = read_tensor(args.file)
-    rf = _rank_fn(args.fn, tol)
-    name = {"max": "max_tucker", "submax": "submax_tucker"}[args.fn]
-    print(f"{name}={rf(x)}")
+    rf = RANK_FUNCTIONS[args.fn](tol)
+    print(f"{rf.name}={rf(x)}")
     print(f"tol: {tol.describe()}", file=sys.stderr)
     return EXIT_OK
 
@@ -185,14 +180,15 @@ def _cmd_nrank(args) -> int:
 def _cmd_fullrank(args) -> int:
     tol = _tolerance(args)
     x = read_tensor(args.file)
+    rf = RANK_FUNCTIONS[args.fn](tol)
     if args.brute:
-        sub, cert = extract_brute_force(_rank_fn(args.fn, tol), x, cap=args.cap)
+        sub, cert = extract_brute_force(rf, x, cap=args.cap)
     elif args.fn == "max":
         sub, cert = extract_max_tucker(x, tol)
     else:
         raise ValueError("only --fn max has a fast path; use --brute for submax")
     doc = cert.to_json()
-    doc["rank_function"] = {"max": "max_tucker", "submax": "submax_tucker"}[args.fn]
+    doc["rank_function"] = rf.name
     doc["tolerance"] = tol.describe()
     print(json.dumps(doc, indent=2))
     if args.out_subtensor:
@@ -203,16 +199,15 @@ def _cmd_fullrank(args) -> int:
 def _cmd_closure(args) -> int:
     tol = _tolerance(args)
     x = read_tensor(args.file)
-    rf = _rank_fn(args.fn, tol)
-    _, cert = extract_brute_force(rf, x, cap=args.cap)
-    print(f"closure_{rf.name}={cert.rank}")
+    rf = RANK_FUNCTIONS[args.fn](tol)
+    print(f"closure_{rf.name}={closure_eval(rf, x, cap=args.cap)}")
     print(f"tol: {tol.describe()}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_axioms(args) -> int:
     tol = _tolerance(args)
-    rf = _rank_fn(args.fn, tol)
+    rf = RANK_FUNCTIONS[args.fn](tol)
     fixtures = standard_fixtures(seed=args.seed, random_count=args.count)
     report = axiom_report(rf, fixtures, tol)
     doc = write_report(report, args.out, args.witness_dir)
@@ -228,12 +223,8 @@ def _cmd_axioms(args) -> int:
 
 def _cmd_tucker(args) -> int:
     x = read_tensor(args.file)
-    if args.method == "hosvd":
-        model = hosvd(x, args.ranks)
-    elif args.method == "st_hosvd":
-        model = st_hosvd(x, args.ranks)
-    else:
-        model = hooi(x, args.ranks, max_iters=args.max_iters)
+    options = {"max_iters": args.max_iters} if args.method == "hooi" else {}
+    model = METHODS[args.method](x, args.ranks, **options)
     save_model(model, args.outdir)
     print(f"wrote {args.outdir} (relative_error={model.relative_error!r})")
     return EXIT_OK
@@ -242,11 +233,10 @@ def _cmd_tucker(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.config:
         raw = json.loads(Path(args.config).read_text())
-        raw["shape"] = tuple(raw.get("shape", (100, 11, 11)))
-        raw["r_values"] = tuple(raw.get("r_values", range(1, 12)))
-        raw["mode1_caps"] = tuple(raw.get("mode1_caps", ("r", 10, 20, 40)))
-        raw["core_shape"] = tuple(raw.get("core_shape", (20, 4, 4)))
-        config = SweepConfig(**raw)
+        if not isinstance(raw, dict):
+            raise FormatError(f"{args.config}: sweep config must be a JSON object")
+        # fields left out keep SweepConfig's defaults; lists become tuples as in the defaults
+        config = SweepConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
     else:
         config = default_sweep_config()
     source = read_tensor(args.input) if args.input else generate_sweep_source(config)

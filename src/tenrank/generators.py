@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL
 from .ranks import n_rank
-from .tensor import DenseTensor, fold, identity_tensor, mode_product, outer_product
+from .tensor import DenseTensor, fold, mode_product, outer_product
 
 __all__ = [
     "zero_tensor",
@@ -153,7 +153,3 @@ def matrix_embedded(matrix, trailing_ones: int = 0) -> DenseTensor:
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     return DenseTensor(a.reshape(a.shape + (1,) * trailing_ones))
-
-
-def identity(m: int, n: int) -> DenseTensor:
-    return identity_tensor(m, n)

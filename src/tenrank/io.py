@@ -12,6 +12,7 @@ then float64 values in the same row-major order.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -59,7 +60,7 @@ def read_text(path) -> DenseTensor:
 def _assemble(path, shape, value_tokens) -> DenseTensor:
     if any(n < 1 for n in shape):
         raise FormatError(f"{path}: shape entries must be >= 1, got {shape}")
-    expected = int(np.prod(shape))
+    expected = math.prod(shape)
     if len(value_tokens) != expected:
         raise FormatError(
             f"{path}: expected {expected} values for shape {shape}, found {len(value_tokens)}"
@@ -92,7 +93,7 @@ def read_binary(path) -> DenseTensor:
     except struct.error as exc:
         raise FormatError(f"{path}: truncated binary tensor") from exc
     offset = 12 + 8 * order
-    count = int(np.prod(shape)) if order else 0
+    count = math.prod(shape) if order else 0
     if len(raw) != offset + 8 * count:
         raise FormatError(f"{path}: size mismatch for shape {shape}")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
@@ -112,11 +113,8 @@ def write_tensor(x: DenseTensor, path, binary: bool = False) -> None:
 def read_tensor(path) -> DenseTensor:
     """Read either variant, sniffing the binary magic bytes."""
     p = Path(path)
-    try:
-        with open(p, "rb") as fh:
-            head = fh.read(4)
-    except OSError:
-        raise
+    with open(p, "rb") as fh:
+        head = fh.read(4)
     if head == MAGIC:
         return read_binary(p)
     return read_text(p)

@@ -273,5 +273,21 @@ def add(x: DenseTensor, y: DenseTensor) -> DenseTensor:
     return DenseTensor(x.data + y.data)
 
 
+_NORM_SAFE = (1e-100, 1e100)
+
+
 def frobenius_norm(x: DenseTensor) -> float:
-    return float(np.linalg.norm(x.data))
+    """Frobenius norm without under- or overflow at any finite scale.
+
+    A plain norm inside ``_NORM_SAFE`` is returned as is, so ordinary
+    scales give the same bits as ``np.linalg.norm``.  Outside it the squares
+    may have under- or overflowed: the entries are divided by a power of two
+    near max|x| (exact, bar entries too small to count) and the norm is
+    scaled back.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x.data))
+    if _NORM_SAFE[0] <= norm <= _NORM_SAFE[1] or x.is_zero():
+        return norm
+    _, exponent = math.frexp(float(np.abs(x.data).max()))
+    return math.ldexp(float(np.linalg.norm(np.ldexp(x.data, -exponent))), exponent)

@@ -29,6 +29,7 @@ __all__ = [
     "relative_error",
     "save_model",
     "load_model",
+    "METHODS",
     "SweepConfig",
     "SweepRow",
     "default_sweep_config",
@@ -106,7 +107,7 @@ def relative_error(xhat: DenseTensor, x: DenseTensor) -> float:
 
 def _finish(x, factors, method, iterations, history) -> TuckerModel:
     core = _compress(x, factors)
-    if frobenius_norm(x) == 0.0:
+    if x.is_zero():
         err = 0.0
     else:
         err = relative_error(_expand(core, factors), x)
@@ -156,11 +157,9 @@ def hooi(
     ranks = _validate_ranks(x, ranks)
     init = st_hosvd(x, ranks)
     factors = list(init.factors)
+    if x.is_zero() or max_iters == 0:
+        return _finish(x, factors, "hooi", 0, [])
     norm_x = frobenius_norm(x)
-    if norm_x == 0.0 or max_iters == 0:
-        model = _finish(x, factors, "hooi", 0, [])
-        model.error_history = [model.relative_error]
-        return model
     history = [init.relative_error]
     fit = frobenius_norm(init.core) / norm_x
     iterations = 0
@@ -177,9 +176,7 @@ def hooi(
         if abs(new_fit - fit) < fit_tol:
             break
         fit = new_fit
-    model = _finish(x, factors, "hooi", iterations, [])
-    model.error_history = history[:-1] + [model.relative_error]
-    return model
+    return _finish(x, factors, "hooi", iterations, history[:-1])
 
 
 def save_model(model: TuckerModel, outdir) -> None:
@@ -242,7 +239,7 @@ class SweepConfig:
     def validate(self) -> None:
         if len(self.shape) < 2:
             raise ValueError("sweep needs an order >= 2 tensor")
-        if self.method not in ("hosvd", "st_hosvd", "hooi"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         tail_min = min(self.shape[1:])
         for r in self.r_values:
@@ -278,7 +275,7 @@ def generate_sweep_source(config: SweepConfig) -> DenseTensor:
     return planted_tucker(config.shape, config.core_shape, config.snr_db, config.seed)
 
 
-_METHODS = {"hosvd": hosvd, "st_hosvd": st_hosvd, "hooi": hooi}
+METHODS = {"hosvd": hosvd, "st_hosvd": st_hosvd, "hooi": hooi}
 
 
 def run_sweep(config: SweepConfig, source: DenseTensor) -> list[SweepRow]:
@@ -286,7 +283,7 @@ def run_sweep(config: SweepConfig, source: DenseTensor) -> list[SweepRow]:
     config.validate()
     if source.shape != config.shape:
         raise ValueError(f"source shape {source.shape} != config shape {config.shape}")
-    fit = _METHODS[config.method]
+    fit = METHODS[config.method]
     rows = []
     for r in config.r_values:
         for cap in config.mode1_caps:

@@ -1,8 +1,13 @@
 """CLI behaviour: verb outputs, exit codes, reproducibility, smoke parity."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tenrank
 from tenrank import max_tucker_rank, n_rank, read_tensor
 from tenrank.cli import main
 
@@ -121,6 +126,33 @@ def test_sweep_verb_reproducible(tmp_path, capsys):
     lines = a.read_text().splitlines()
     assert lines[0] == "r,mode1_cap,method,relative_error,elapsed_ms"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"hooi"', "7"])
+def test_sweep_config_must_be_an_object(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv"))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_sweep_config_fields_default_to_the_built_in_grid(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "st_hosvd"}))
+    out = tmp_path / "a.csv"
+    assert run(capsys, "sweep", "--config", str(cfg), "--out", str(out), "--no-timing")[0] == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 44
+    assert {row.split(",")[2] for row in rows} == {"st_hosvd"}
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(tenrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, tenrank.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_exit_code_io_error(capsys):

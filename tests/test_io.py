@@ -1,4 +1,6 @@
 """Round trips and error handling for both .tns variants."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,18 @@ def test_binary_errors(tmp_path):
     good.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(FormatError):
         read_binary(good)
+
+
+def test_value_count_does_not_wrap(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in int64; the count check must reject it itself
+    text = tmp_path / "huge.tns"
+    text.write_text("2\n4294967296 4294967296\n")
+    with pytest.raises(FormatError, match="expected 18446744073709551616 values"):
+        read_text(text)
+    binary = tmp_path / "huge.bin"
+    binary.write_bytes(b"TNS1" + struct.pack("<3Q", 2, 2**32, 2**32))
+    with pytest.raises(FormatError, match="size mismatch"):
+        read_binary(binary)
 
 
 def test_writes_are_deterministic(tmp_path):

@@ -13,6 +13,7 @@ from tenrank import (
     reconstruct,
     relative_error,
     run_sweep,
+    scale,
     st_hosvd,
     sweep_to_csv,
 )
@@ -217,3 +218,16 @@ def test_effective_ranks_floor_at_r():
     assert config.effective_ranks(3, 10) == (10, 3, 3)
     assert config.effective_ranks(4, "r") == (4, 4, 4)
     assert config.effective_ranks(2, 40) == (40, 2, 2)
+
+
+@pytest.mark.parametrize("k", [-300, -200, -100, 100, 200, 300])
+def test_norm_and_errors_are_scale_invariant(k):
+    x = random_tensor((3, 4, 5), seed=0)
+    y = scale(x, 10.0**k)
+    assert frobenius_norm(y) / 10.0**k == pytest.approx(frobenius_norm(x), rel=1e-12)
+    assert hosvd(y, (2, 2, 2)).relative_error == pytest.approx(
+        hosvd(x, (2, 2, 2)).relative_error, rel=1e-12
+    )
+    ref, got = hooi(x, (2, 2, 2)), hooi(y, (2, 2, 2))
+    assert got.relative_error == pytest.approx(ref.relative_error, rel=1e-12)
+    assert got.error_history == pytest.approx(ref.error_history, rel=1e-12)
