@@ -237,6 +237,10 @@ def _cmd_sweep(args) -> int:
             raise FormatError(f"{args.config}: sweep config must be a JSON object")
         # fields left out keep SweepConfig's defaults; lists become tuples as in the defaults
         config = SweepConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise FormatError(f"{args.config}: {exc}") from exc
     else:
         config = default_sweep_config()
     source = read_tensor(args.input) if args.input else generate_sweep_source(config)

@@ -5,6 +5,20 @@ unfolding, so the tolerance semantics are fixed here once: singular values
 are compared against ``tol.value * sigma_max`` (relative mode, with
 ``max(rows, cols) * eps`` as the automatic default factor) or against a raw
 ``tol.value`` (absolute mode).
+
+Wide matrices are factored from their short side.  When ``2 * rows <= cols``
+and the matrix has at least 4096 entries, Householder QR of the transpose
+gives ``A = R.T @ Q.T`` with orthonormal ``Q``, so the rows x rows matrix
+``R.T`` has exactly the row inner products of ``A`` (``A @ A.T == R.T @ R``).
+It therefore has A's singular values and left singular vectors, every subset
+of its rows has the rank of the same rows of ``A``, and greedy max-residual
+row pivoting picks the same rows from either.  Householder QR is backward
+stable: the computed ``R.T`` is exact for a matrix within a small multiple of
+``eps * ||A||`` of ``A``, the same backward error the SVD itself commits, so
+rank decisions on ``R.T`` stay SVD-grade.  The Gram matrix ``A @ A.T`` would
+not: it squares the condition number and loses every singular value below
+about ``sqrt(eps) * sigma_max``.  Square, tall and small matrices go to the
+SVD directly, since on them the QR only adds call overhead.
 """
 from __future__ import annotations
 
@@ -17,6 +31,7 @@ from .errors import NumericError
 __all__ = ["RankTolerance", "RowBasis", "DEFAULT_TOL", "matrix_rank", "row_basis", "in_row_span"]
 
 _EPS = float(np.finfo(np.float64).eps)
+_SHORT_SIDE_MIN_CELLS = 4096  # below this the QR costs more than it saves
 
 
 @dataclass(frozen=True)
@@ -71,16 +86,30 @@ def _as_matrix(M) -> np.ndarray:
     return A
 
 
+def _short_side(A: np.ndarray) -> np.ndarray:
+    """``R.T`` from the QR of ``A.T`` for a wide enough ``A``, else ``A`` itself:
+    either way a matrix with the row inner products of ``A``."""
+    rows, cols = A.shape
+    if 2 * rows > cols or rows * cols < _SHORT_SIDE_MIN_CELLS:
+        return A
+    return np.linalg.qr(A.T, mode="r").T
+
+
+def _rank(B: np.ndarray, shape: tuple[int, int], tol: RankTolerance) -> int:
+    """Singular values of B counted against the threshold of a ``shape`` matrix."""
+    try:
+        s = np.linalg.svd(B, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed on {shape[0]}x{shape[1]} matrix") from exc
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.threshold(shape, float(s[0]))))
+
+
 def matrix_rank(M, tol: RankTolerance = DEFAULT_TOL) -> int:
     """Count of singular values above the tolerance threshold."""
     A = _as_matrix(M)
-    try:
-        s = np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed on {A.shape[0]}x{A.shape[1]} matrix") from exc
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.threshold(A.shape, float(s[0]))))
+    return _rank(_short_side(A), A.shape, tol)
 
 
 def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
@@ -88,11 +117,19 @@ def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
 
     Row-pivoted Gram-Schmidt elimination: at each step the row with the
     largest residual norm is taken, ties broken by the smallest row index,
-    so the result is deterministic for identical input bytes.
+    so the result is deterministic for identical input bytes.  The rank
+    test, the elimination and the final check all run on the short-side
+    factor of M, and the elimination runs on it scaled by the power of two
+    that brings its largest entry into [0.5, 1): the scaling is exact, so
+    the picked rows are unchanged, and the residual norms can neither
+    overflow nor underflow at the ends of the float64 range.
     """
     A = _as_matrix(M)
-    r = matrix_rank(A, tol)
-    resid = A.copy()
+    B = _short_side(A)
+    r = _rank(B, A.shape, tol)
+    # C order as in a plain copy, so BLAS sums in the same order and exact ties
+    # break the same way
+    resid = np.ldexp(B, -np.frexp(np.max(np.abs(B)))[1], order="C")
     basis_vecs: list[np.ndarray] = []
     picked: list[int] = []
     for _ in range(r):
@@ -107,7 +144,7 @@ def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
         resid = resid - np.outer(resid @ q, q)
         resid[k] = 0.0
     indices = tuple(sorted(i + 1 for i in picked))
-    if indices and matrix_rank(A[[i - 1 for i in indices]], tol) != r:
+    if indices and _rank(B[[i - 1 for i in indices]], (r, A.shape[1]), tol) != r:
         raise NumericError(
             f"row selection lost rank on {A.shape[0]}x{A.shape[1]} matrix (target {r})"
         )

@@ -10,6 +10,7 @@ the binding constraint.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .generators import planted_tucker
+from .linalg import _short_side
 from .tensor import DenseTensor, frobenius_norm, mode_product, unfold
 
 __all__ = [
@@ -73,7 +75,7 @@ def _validate_ranks(x: DenseTensor, ranks: Sequence[int]) -> tuple[int, ...]:
 
 
 def _leading_factor(matrix: np.ndarray, r: int) -> np.ndarray:
-    u, _, _ = np.linalg.svd(matrix, full_matrices=False)
+    u, _, _ = np.linalg.svd(_short_side(matrix), full_matrices=False)
     return u[:, :r]
 
 
@@ -217,6 +219,10 @@ def load_model(outdir) -> TuckerModel:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid for the error sweep over (r, mode-1 cap) pairs.
@@ -243,13 +249,15 @@ class SweepConfig:
             raise ValueError(f"unknown method {self.method!r}")
         tail_min = min(self.shape[1:])
         for r in self.r_values:
+            if not _is_int(r):
+                raise ValueError(f"r={r!r} is not an integer")
             if not 1 <= r <= tail_min:
                 raise ValueError(f"r={r} outside 1..{tail_min}")
         for cap in self.mode1_caps:
             if cap == "r":
                 continue
-            if not isinstance(cap, int) or not 1 <= cap <= self.shape[0]:
-                raise ValueError(f"mode-1 cap {cap!r} outside 1..{self.shape[0]}")
+            if not _is_int(cap) or not 1 <= cap <= self.shape[0]:
+                raise ValueError(f"mode-1 cap {cap!r} is not an integer in 1..{self.shape[0]}")
 
     def effective_ranks(self, r: int, cap) -> tuple[int, ...]:
         tail = (r,) * (len(self.shape) - 1)

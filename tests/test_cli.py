@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import tenrank
-from tenrank import max_tucker_rank, n_rank, read_tensor
+from tenrank import max_tucker_rank, n_rank, read_tensor, scale, write_tensor
 from tenrank.cli import main
+from tenrank.generators import tucker_structured
 
 
 def run(capsys, *argv):
@@ -70,6 +71,19 @@ def test_fullrank_fast_and_brute_agree(tmp_path, capsys):
     fast, brute = json.loads(fast_out), json.loads(brute_out)
     assert fast["rank"] == brute["rank"] == 4
     assert fast["mode"] == 3
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-250])
+def test_fullrank_certificate_survives_extreme_scaling(tmp_path, capsys, factor):
+    x = tucker_structured((6, 7, 8), (2, 3, 2), seed=1)
+    plain, scaled = tmp_path / "x.tns", tmp_path / "y.tns"
+    write_tensor(x, plain)
+    write_tensor(scale(x, factor), scaled)
+    code, ref, _ = run(capsys, "fullrank", str(plain))
+    assert code == 0
+    code, out, err = run(capsys, "fullrank", str(scaled))
+    assert code == 0, err
+    assert out == ref
 
 
 def test_fullrank_submax_needs_brute(tmp_path, capsys):
@@ -136,6 +150,18 @@ def test_sweep_config_must_be_an_object(tmp_path, capsys, content):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field", [{"r_values": [2.5]}, {"mode1_caps": [True]}])
+def test_sweep_config_rejects_non_integer_grid_values(tmp_path, capsys, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"shape": [10, 4, 4], "r_values": [1, 2], "core_shape": [3, 2, 2], **field}))
+    out = tmp_path / "a.csv"
+    code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out), "--no-timing")
+    assert code == 3
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_sweep_config_fields_default_to_the_built_in_grid(tmp_path, capsys):

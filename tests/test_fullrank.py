@@ -1,4 +1,6 @@
 """Full-rank detection, extraction (fast path vs enumeration), closures."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from tenrank import (
     is_full_rank,
     max_tucker,
     max_tucker_rank,
+    scale,
     submax_tucker,
     verify_span_certificate,
 )
@@ -65,6 +68,19 @@ def test_extract_duplicated_slices():
     assert verify_span_certificate(x, cert)
     _, brute = extract_brute_force(max_tucker(), x)
     assert brute.rank == cert.rank
+
+
+@pytest.mark.parametrize("k", [-300, -200, -100, 100, 200, 300])
+def test_extract_max_tucker_is_scale_invariant(k):
+    x = tucker_structured((6, 7, 8), (2, 3, 2), seed=1)
+    _, ref = extract_max_tucker(x)
+    y = scale(x, 10.0**k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, cert = extract_max_tucker(y)
+        assert verify_span_certificate(y, cert)
+    assert cert.rank == ref.rank == max_tucker_rank(x)
+    assert cert == ref
 
 
 def test_extract_zero_tensor_convention():

@@ -161,3 +161,98 @@ def test_in_row_span_orthogonal_residual():
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
         matrix_rank(np.zeros((0, 3)))
+
+
+# --- wide matrices, factored from their short side -------------------------
+
+WIDE_SHAPES = [(8, 600, 5), (30, 3000, 12)]  # rows, cols, planted rank
+
+
+def planted_wide(rows, cols, rank, seed, duplicate=False):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    if duplicate:
+        M[rows - 1] = M[1]
+    return M
+
+
+def reference_row_basis(M, tol=RankTolerance()):
+    """The greedy max-residual loop on the unreduced matrix."""
+    s = np.linalg.svd(M, compute_uv=False)
+    r = int(np.count_nonzero(s > tol.threshold(M.shape, s[0]))) if s[0] > 0 else 0
+    resid = M.copy()
+    basis, picked = [], []
+    for _ in range(r):
+        norms = np.linalg.norm(resid, axis=1)
+        k = int(np.argmax(norms))
+        q = resid[k] / norms[k]
+        for prev in basis:
+            q = q - (q @ prev) * prev
+        q = q / np.linalg.norm(q)
+        picked.append(k)
+        basis.append(q)
+        resid = resid - np.outer(resid @ q, q)
+        resid[k] = 0.0
+    return tuple(sorted(i + 1 for i in picked)), r
+
+
+@pytest.mark.parametrize("rows,cols,rank", WIDE_SHAPES)
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_wide_matrix_rank_matches_unreduced_svd(rows, cols, rank, duplicate):
+    M = planted_wide(rows, cols, rank, seed=rows, duplicate=duplicate)
+    s = np.linalg.svd(M, compute_uv=False)
+    expected = int(np.count_nonzero(s > RankTolerance().threshold(M.shape, s[0])))
+    assert expected == rank
+    assert matrix_rank(M) == expected
+    full = planted_wide(rows, cols, rows, seed=rows + 1, duplicate=duplicate)
+    assert matrix_rank(full) == rows - duplicate
+    absolute = RankTolerance("absolute", 1e-6)
+    assert matrix_rank(M, absolute) == int(np.count_nonzero(s > 1e-6))
+
+
+@pytest.mark.parametrize("rows,cols,rank", WIDE_SHAPES + [(30, 3000, 30)])
+def test_wide_row_basis_matches_unreduced_greedy_loop(rows, cols, rank):
+    M = planted_wide(rows, cols, rank, seed=rows + rank)
+    basis = row_basis(M)
+    assert (basis.indices, basis.rank) == reference_row_basis(M)
+
+
+@pytest.mark.parametrize("rows,cols,rank", WIDE_SHAPES)
+def test_wide_row_basis_keeps_one_of_a_duplicated_row(rows, cols, rank):
+    M = planted_wide(rows, cols, rank, seed=rows + rank, duplicate=True)
+    basis = row_basis(M)
+    # the two copies tie exactly, so the reduced matrix may break the tie the
+    # other way; up to that swap the picked rows are the reference's
+    swap = {rows: 2}
+    expected, r = reference_row_basis(M)
+    assert basis.rank == r == rank
+    assert tuple(sorted(swap.get(i, i) for i in basis.indices)) == tuple(
+        sorted(swap.get(i, i) for i in expected)
+    )
+    assert not {2, rows} <= set(basis.indices)
+
+
+@pytest.mark.parametrize("k", [-300, -200, 200, 300])
+def test_wide_row_basis_is_scale_invariant(k):
+    M = planted_wide(8, 600, 5, seed=4)
+    assert row_basis(M * 10.0**k) == row_basis(M)
+
+
+def test_qr_only_above_the_short_side_gate(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    rng = np.random.default_rng(5)
+    # tiny, square, tall, not wide enough, and too few entries
+    for shape in [(2, 6), (4, 64), (60, 60), (100, 30), (10, 19), (40, 79), (8, 500)]:
+        M = rng.standard_normal(shape)
+        matrix_rank(M)
+        row_basis(M)
+    assert calls == []
+    matrix_rank(rng.standard_normal((8, 600)))
+    assert calls == [(600, 8)]

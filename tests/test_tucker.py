@@ -18,7 +18,7 @@ from tenrank import (
     sweep_to_csv,
 )
 from tenrank.generators import planted_tucker, random_rank_one, random_tensor, tucker_structured
-from tenrank.tucker import CSV_HEADER, load_model, save_model
+from tenrank.tucker import CSV_HEADER, _leading_factor, load_model, save_model
 
 
 def naive_reconstruct(model):
@@ -208,6 +208,10 @@ def test_sweep_config_validation():
         SweepConfig(shape=(10, 4, 4), mode1_caps=(11,), r_values=(2,)).validate()
     with pytest.raises(ValueError):
         SweepConfig(method="qr").validate()
+    for bad in [{"r_values": (2.5,)}, {"r_values": (True,)}, {"mode1_caps": (True,)}, {"mode1_caps": (5.0,)}]:
+        with pytest.raises(ValueError):
+            SweepConfig(shape=(10, 4, 4), **{"r_values": (2,), **bad}).validate()
+    SweepConfig(shape=(10, 4, 4), r_values=(np.int64(2),), mode1_caps=(np.int64(5),)).validate()
     with pytest.raises(ValueError):
         run_sweep(SweepConfig(shape=(10, 4, 4), r_values=(2,), mode1_caps=("r",)), random_tensor((9, 4, 4), seed=0))
 
@@ -231,3 +235,20 @@ def test_norm_and_errors_are_scale_invariant(k):
     ref, got = hooi(x, (2, 2, 2)), hooi(y, (2, 2, 2))
     assert got.relative_error == pytest.approx(ref.relative_error, rel=1e-12)
     assert got.error_history == pytest.approx(ref.error_history, rel=1e-12)
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(8, 600, 5), (30, 3000, 12)])
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_leading_factor_of_wide_matrix_spans_the_svd_subspace(rows, cols, rank, duplicate):
+    rng = np.random.default_rng(rows)
+    M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    if duplicate:
+        M[rows - 1] = M[1]
+    u, _, _ = np.linalg.svd(M, full_matrices=False)
+    for r in (2, rank):
+        f = _leading_factor(M, r)
+        assert f.shape == (rows, r)
+        assert np.linalg.norm(f.T @ f - np.eye(r)) <= 1e-12
+        ref = u[:, :r]
+        # sine of the largest principal angle between the two column spaces
+        assert np.linalg.norm(f - ref @ (ref.T @ f), 2) <= 1e-10
