@@ -1,6 +1,6 @@
 """tenrank: dense tensor rank functions, full-rank subtensors, Tucker models."""
 
-from .errors import CapacityError, FormatError, NumericError, SelectionError
+from .errors import CapacityError, FormatError, NoFullRankError, NumericError, SelectionError
 from .tensor import (
     DenseTensor,
     IndexSelection,

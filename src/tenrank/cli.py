@@ -243,7 +243,13 @@ def _cmd_sweep(args) -> int:
             raise FormatError(f"{args.config}: {exc}") from exc
     else:
         config = default_sweep_config()
-    source = read_tensor(args.input) if args.input else generate_sweep_source(config)
+    if args.input:
+        source = read_tensor(args.input)
+    else:
+        try:
+            source = generate_sweep_source(config)
+        except ValueError as exc:  # only a --config file can give a core that does not fit
+            raise FormatError(f"{args.config}: {exc}") from exc
     rows = run_sweep(config, source)
     Path(args.out).write_text(sweep_to_csv(rows, include_timing=not args.no_timing))
     print(f"wrote {args.out} ({len(rows)} rows)")

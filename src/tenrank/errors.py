@@ -15,3 +15,8 @@ class CapacityError(RuntimeError):
 
 class NumericError(RuntimeError):
     """Numerical linear algebra failure (e.g. SVD did not converge)."""
+
+
+class NoFullRankError(ValueError):
+    """A rank function leaves a nonzero tensor without any full-rank subtensor,
+    which no proper rank function does."""

@@ -4,16 +4,18 @@ A tensor is of full rank under a rank function when its rank equals one of
 its dimensions (zero tensors count as full rank by convention).  For the
 max-Tucker rank a maximum full-rank subtensor can be extracted directly from
 a row basis of the dominant unfolding; for arbitrary proper rank functions
-the same object is found by brute-force enumeration of all subtensors, which
-also evaluates the closure (the best full-rank subtensor value).
+the same object is found by a brute-force search over the subtensors in a
+fixed order, which also evaluates the closure (the best full-rank subtensor
+value).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import CapacityError
+from .errors import CapacityError, NoFullRankError
 from .linalg import DEFAULT_TOL, RankTolerance, RowBasis, in_row_span, matrix_rank, row_basis
 from .ranks import RankFunction, n_rank
 from .tensor import DenseTensor, IndexSelection, subtensor, unfold
@@ -30,6 +32,14 @@ __all__ = [
 
 DEFAULT_CAP = 4096
 MAX_MODE_DIM = 8
+# Subtensors one brute-force search may examine, zero ones included.  It
+# exceeds the 29,791 selections of a 5x5x5 tensor, so every search of that
+# size or smaller ends.  Searches that end through the early stops need far
+# fewer: at most 40 per call on the benchmark's oracle batch, and 4,830 for
+# max_tucker on the hardest 8x8x8 Tucker-structured tensor tried (core
+# (8, 8, 1)).  A cheap rank function spends the whole budget on 8x8x8 in
+# about 1.5 s on a 2-core x86-64 VM, max_tucker on 8x8x8x8 in 8-10 s.
+SEARCH_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -120,24 +130,67 @@ def verify_span_certificate(
     )
 
 
-def _mode_subsets(n: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=64)
+def _mode_subsets(n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The nonempty subsets of 1..n with at most d elements, in lexicographic
+    order, each paired with its size."""
     subsets = []
-    for size in range(1, n + 1):
+    for size in range(1, min(n, d) + 1):
         subsets.extend(itertools.combinations(range(1, n + 1), size))
     subsets.sort()
-    return subsets
+    return tuple((s, len(s)) for s in subsets)
+
+
+def _prefixes(shapes) -> set[tuple[int, ...]]:
+    """Every leading run of sizes of the given kept shapes, whole shapes included."""
+    return {k[:j] for k in shapes for j in range(1, len(k) + 1)}
+
+
+@functools.lru_cache(maxsize=256)
+def _band(shape: tuple[int, ...], d: int):
+    """The kept shapes of band d (every k with k_j <= n_j and max(k) == d)
+    and the prefixes of them all."""
+    shapes = tuple(
+        k
+        for k in itertools.product(*(range(1, min(n, d) + 1) for n in shape))
+        if max(k) == d
+    )
+    return shapes, frozenset(_prefixes(shapes))
+
+
+def _walk_band(shape: tuple[int, ...], d: int, live):
+    """Per-mode index tuples of band d in lexicographic order, restricted to
+    kept shapes whose every prefix of sizes is in ``live``.
+
+    ``live`` is read at every step, so the caller may shrink it between
+    yields and the rest of the walk honours the smaller set at once.
+    """
+    order = len(shape)
+    capped = [_mode_subsets(n, d) for n in shape]
+    chosen: list[tuple[int, ...]] = [()] * order
+
+    def expand(j, prefix):
+        last = j + 1 == order
+        for s, k in capped[j]:
+            sizes = prefix + (k,)
+            if sizes in live:
+                chosen[j] = s
+                if last:
+                    yield tuple(chosen)
+                else:
+                    yield from expand(j + 1, sizes)
+
+    return expand(0, ())
 
 
 def iter_selections(shape):
     """All per-mode nonempty selections, ordered by decreasing largest kept
     dimension and lexicographically within each band (the documented
     deterministic enumeration order)."""
-    all_subsets = [_mode_subsets(n) for n in shape]
+    shape = tuple(shape)
     for d in range(max(shape), 0, -1):
-        capped = [[s for s in subs if len(s) <= d] for subs in all_subsets]
-        for combo in itertools.product(*capped):
-            if max(len(s) for s in combo) == d:
-                yield IndexSelection(combo)
+        for combo in _walk_band(shape, d, _band(shape, d)[1]):
+            yield IndexSelection(combo)
 
 
 def _check_capacity(x: DenseTensor, cap: int) -> None:
@@ -153,44 +206,88 @@ def _check_capacity(x: DenseTensor, cap: int) -> None:
         )
 
 
+def _survivors(shapes, bound, floor: int, bounds: dict):
+    """The shapes whose bound exceeds ``floor``; each bound is computed once."""
+    for k in shapes:
+        b = bounds.get(k)
+        if b is None:
+            b = bounds[k] = bound(k)
+        if b > floor:
+            yield k
+
+
 def extract_brute_force(
     rf: RankFunction, x: DenseTensor, cap: int = DEFAULT_CAP
 ) -> tuple[DenseTensor, FullRankCertificate]:
     """Maximum full-rank subtensor under an arbitrary proper rank function,
-    found by enumerating every subtensor in the deterministic order.
+    found by searching the subtensors in the deterministic order of
+    :func:`iter_selections`.
 
-    Two sound prunings keep this usable: candidates whose shape bound cannot
-    beat the current best are skipped, and the search stops once the best
-    equals rf(x) (no subtensor can exceed it, by axiom P6).
+    The search walks kept shapes (k_1, ..., k_N), not selections.  Shapes
+    come in bands of decreasing largest dimension d; within a band the
+    selections are expanded mode by mode in lexicographic subset order, and
+    a subset is entered only if its prefix of sizes still leads to a shape
+    that can beat the best value found so far.  A shape can beat it only if
+    its ``shape_bound`` exceeds it and d exceeds it, so the surviving shapes
+    are recomputed whenever the best improves, and once the best reaches d
+    (the band stop) or rf(x) (no subtensor exceeds rf(x), by axiom P6) the
+    search returns.  Every selection left out is one that a plain walk of
+    :func:`iter_selections` with the same two tests would skip, and the
+    order is unchanged with ties never reordered, so the certificate is the
+    first selection in the documented order that attains the best value.
+
+    Each call examines at most ``SEARCH_BUDGET`` subtensors; past that it
+    raises :class:`CapacityError`, on top of the entry and dimension caps.
+    A rank function that leaves some nonzero tensor with no full-rank
+    subtensor is not proper and raises :class:`NoFullRankError`.
     """
     _check_capacity(x, cap)
     if x.is_zero():
         return _zero_certificate(x)
     ceiling = rf(x)
+    bound = rf.shape_bound
+    bounds: dict[tuple[int, ...], int] = {}
     best: FullRankCertificate | None = None
     best_tensor: DenseTensor | None = None
-    for sel in iter_selections(x.shape):
-        kshape = sel.result_shape()
-        if best is not None:
-            if rf.shape_bound is not None and rf.shape_bound(kshape) <= best.rank:
-                continue
-            if max(kshape) <= best.rank:
-                continue
-        y = subtensor(x, sel)
-        if y.is_zero():
-            r, mode = 0, None
+    examined = 0
+    for d in range(max(x.shape), 0, -1):
+        if best is not None and best.rank >= d:
+            break  # band stop: no shape left has a dimension above the best
+        shapes, prefixes = _band(x.shape, d)
+        if bound is None or best is None:
+            live = set(prefixes)
         else:
-            r = rf(y)
-            mode = next((p for p, k in enumerate(kshape, start=1) if r == k), None)
-            if mode is None:
-                continue
-        if best is None or r > best.rank:
-            indices = sel.indices[mode - 1] if mode is not None else ()
-            best = FullRankCertificate(mode, indices, r, sel)
-            best_tensor = y
-            if r == ceiling:
-                break
-    assert best is not None and best_tensor is not None
+            live = _prefixes(_survivors(shapes, bound, best.rank, bounds))
+        for combo in _walk_band(x.shape, d, live):
+            examined += 1
+            if examined > SEARCH_BUDGET:
+                raise CapacityError(
+                    f"{rf.name}: search budget of {SEARCH_BUDGET} subtensors spent on a "
+                    f"tensor of shape {x.shape} before the maximum was settled"
+                )
+            sel = IndexSelection(combo)
+            y = subtensor(x, sel)
+            if y.is_zero():
+                r, mode = 0, None
+            else:
+                r = rf(y)
+                mode = next((p for p, k in enumerate(y.shape, start=1) if r == k), None)
+                if mode is None:
+                    continue
+            if best is None or r > best.rank:
+                indices = sel.indices[mode - 1] if mode is not None else ()
+                best = FullRankCertificate(mode, indices, r, sel)
+                best_tensor = y
+                if r == ceiling or r >= d:
+                    return best_tensor, best
+                if bound is not None:
+                    live.clear()
+                    live.update(_prefixes(_survivors(shapes, bound, r, bounds)))
+    if best is None:
+        raise NoFullRankError(
+            f"{rf.name} leaves no subtensor of a tensor of shape {x.shape} of full "
+            "rank, so it is not a proper rank function"
+        )
     return best_tensor, best
 
 

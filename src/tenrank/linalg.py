@@ -22,6 +22,7 @@ SVD directly, since on them the QR only adds call overhead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,21 +96,48 @@ def _short_side(A: np.ndarray) -> np.ndarray:
     return np.linalg.qr(A.T, mode="r").T
 
 
-def _rank(B: np.ndarray, shape: tuple[int, int], tol: RankTolerance) -> int:
-    """Singular values of B counted against the threshold of a ``shape`` matrix."""
+class _Overflow(ArithmeticError):
+    """The largest singular value overflowed float64 although every entry is finite."""
+
+
+def _rank(B: np.ndarray, shape: tuple[int, int], tol: RankTolerance, exp: int = 0) -> int:
+    """Singular values of B counted against the threshold of a ``shape`` matrix,
+    B being the reduced matrix scaled down by ``2**exp``."""
     try:
         s = np.linalg.svd(B, compute_uv=False)
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(B).all():
+            raise _Overflow from exc
         raise NumericError(f"SVD failed on {shape[0]}x{shape[1]} matrix") from exc
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol.threshold(shape, float(s[0]))))
+    sigma_max = float(s[0])
+    if not math.isfinite(sigma_max):
+        raise _Overflow
+    threshold = tol.threshold(shape, sigma_max)
+    if exp and tol.mode == "absolute":  # a relative threshold scales with B, an absolute one does not
+        threshold = math.ldexp(threshold, -exp)
+    return int(np.count_nonzero(s > threshold))
+
+
+def _reduce(A: np.ndarray, tol: RankTolerance) -> tuple[np.ndarray, int, int]:
+    """The short-side factor of A, its rank, and the power of two it was scaled
+    down by.  The power is 0 unless a singular value of A overflows float64;
+    then A is scaled by the exact power of two that brings its largest entry
+    into [0.5, 1) and factored again, so finite input keeps its bits."""
+    try:
+        B = _short_side(A)
+        return B, _rank(B, A.shape, tol), 0
+    except _Overflow:
+        exp = int(np.frexp(np.max(np.abs(A)))[1])
+        B = _short_side(np.ldexp(A, -exp))
+        return B, _rank(B, A.shape, tol, exp), exp
 
 
 def matrix_rank(M, tol: RankTolerance = DEFAULT_TOL) -> int:
     """Count of singular values above the tolerance threshold."""
-    A = _as_matrix(M)
-    return _rank(_short_side(A), A.shape, tol)
+    _, r, _ = _reduce(_as_matrix(M), tol)
+    return r
 
 
 def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
@@ -125,8 +153,7 @@ def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
     overflow nor underflow at the ends of the float64 range.
     """
     A = _as_matrix(M)
-    B = _short_side(A)
-    r = _rank(B, A.shape, tol)
+    B, r, exp = _reduce(A, tol)
     # C order as in a plain copy, so BLAS sums in the same order and exact ties
     # break the same way
     resid = np.ldexp(B, -np.frexp(np.max(np.abs(B)))[1], order="C")
@@ -144,7 +171,7 @@ def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
         resid = resid - np.outer(resid @ q, q)
         resid[k] = 0.0
     indices = tuple(sorted(i + 1 for i in picked))
-    if indices and _rank(B[[i - 1 for i in indices]], (r, A.shape[1]), tol) != r:
+    if indices and _rank(B[[i - 1 for i in indices]], (r, A.shape[1]), tol, exp) != r:
         raise NumericError(
             f"row selection lost rank on {A.shape[0]}x{A.shape[1]} matrix (target {r})"
         )

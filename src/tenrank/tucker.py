@@ -10,6 +10,7 @@ the binding constraint.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -223,6 +224,14 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _positive_ints(values) -> bool:
+    return isinstance(values, (tuple, list)) and all(_is_int(v) and v >= 1 for v in values)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid for the error sweep over (r, mode-1 cap) pairs.
@@ -243,10 +252,20 @@ class SweepConfig:
     core_shape: tuple[int, ...] = (20, 4, 4)
 
     def validate(self) -> None:
-        if len(self.shape) < 2:
-            raise ValueError("sweep needs an order >= 2 tensor")
-        if self.method not in METHODS:
+        if not _positive_ints(self.shape) or len(self.shape) < 2:
+            raise ValueError(f"shape {self.shape!r} is not two or more positive integers")
+        if not _positive_ints(self.core_shape) or len(self.core_shape) != len(self.shape):
+            raise ValueError(
+                f"core_shape {self.core_shape!r} is not one positive integer per mode of {self.shape}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed {self.seed!r} is not a nonnegative integer")
+        if not _is_real(self.snr_db) or not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db {self.snr_db!r} is not a finite number")
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if not all(isinstance(v, (tuple, list)) for v in (self.r_values, self.mode1_caps)):
+            raise ValueError("r_values and mode1_caps must be lists")
         tail_min = min(self.shape[1:])
         for r in self.r_values:
             if not _is_int(r):
@@ -280,6 +299,9 @@ def default_sweep_config() -> SweepConfig:
 
 
 def generate_sweep_source(config: SweepConfig) -> DenseTensor:
+    """The planted-Tucker source the config describes; its core must fit its shape."""
+    if any(c > n for c, n in zip(config.core_shape, config.shape)):
+        raise ValueError(f"core_shape {config.core_shape} does not fit in shape {config.shape}")
     return planted_tucker(config.shape, config.core_shape, config.snr_db, config.seed)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tenrank
@@ -204,3 +205,53 @@ def test_exit_code_usage(tmp_path, capsys):
     assert exc.value.code == 2
     code, _, _ = run(capsys, "gen", "random", "--out", str(tmp_path / "x.tns"))
     assert code == 2  # missing --shape
+
+
+def test_rank_survives_an_overflowing_singular_value(tmp_path, capsys):
+    # every entry is finite, but sigma_max = 2e308 is not
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+    x = tenrank.DenseTensor(h * 1e308)
+    f = tmp_path / "h.tns"
+    write_tensor(x, f)
+    code, out, _ = run(capsys, "nrank", str(f))
+    assert (code, out.strip()) == (0, "nrank=4,4")
+    code, out, err = run(capsys, "fullrank", str(f))
+    assert code == 0, err
+    doc = json.loads(out)
+    cert = tenrank.FullRankCertificate(
+        doc["mode"], tuple(doc["indices"]), doc["rank"], tenrank.IndexSelection.of(*doc["selection"])
+    )
+    assert cert.rank == 4 and tenrank.verify_span_certificate(x, cert)
+
+
+def test_exit_code_capacity_from_the_search_budget(tmp_path, capsys, monkeypatch):
+    # the max_tucker search on this tensor ends at rf(x) after 1,486 subtensors
+    f = tmp_path / "t.tns"
+    write_tensor(tucker_structured((8, 8, 8), (4, 4, 1), seed=0), f)
+    code, out, _ = run(capsys, "fullrank", str(f), "--brute")
+    assert code == 0 and json.loads(out)["rank"] == 4
+    monkeypatch.setattr(tenrank.fullrank, "SEARCH_BUDGET", 1000)
+    code, out, err = run(capsys, "fullrank", str(f), "--brute")
+    assert code == 4 and out == ""
+    assert "search budget" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"shape": [10, 4, 4], "r_values": [1], "mode1_caps": ["r"]},
+        {"core_shape": [3, 2]},
+        {"seed": "x"},
+        {"snr_db": "loud"},
+        {"shape": [10, 4.5, 4]},
+    ],
+)
+def test_sweep_config_rejects_bad_source_fields(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "a.csv"
+    code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out), "--no-timing")
+    assert code == 3
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {cfg}: ")
+    assert not out.exists()

@@ -1,4 +1,5 @@
 """Full-rank detection, extraction (fast path vs enumeration), closures."""
+import itertools
 import warnings
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 from tenrank import (
     CapacityError,
     DenseTensor,
+    IndexSelection,
+    NoFullRankError,
+    RankFunction,
     closure_eval,
     closure_rank_function,
     extract_brute_force,
@@ -15,11 +19,13 @@ from tenrank import (
     is_full_rank,
     max_tucker,
     max_tucker_rank,
+    min_rank,
     scale,
     submax_tucker,
+    subtensor,
     verify_span_certificate,
 )
-from tenrank.fullrank import iter_selections
+from tenrank.fullrank import SEARCH_BUDGET, iter_selections
 from tenrank.generators import (
     counterexample_2x3x4,
     counterexample_3x2x2,
@@ -208,3 +214,146 @@ def test_certificate_json_round_trip():
         "rank": 4,
         "selection": [[1, 2], [1, 2, 3], [1, 2, 3, 4]],
     }
+
+
+def _plain_order(shape):
+    """The documented order by its definition: per-mode product of the
+    lexicographically sorted subsets, filtered band by band."""
+    subsets = []
+    for n in shape:
+        subs = [s for k in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), k)]
+        subsets.append(sorted(subs))
+    for d in range(max(shape), 0, -1):
+        capped = [[s for s in subs if len(s) <= d] for subs in subsets]
+        for combo in itertools.product(*capped):
+            if max(len(s) for s in combo) == d:
+                yield combo
+
+
+def _reference_extract(rf, x):
+    """The selection-by-selection search: every selection in the documented
+    order, skipped by the shape bound and the largest kept dimension, stopped
+    at rf(x).  Returns None when no subtensor is of full rank."""
+    if x.is_zero():
+        return (np.zeros((1,) * x.order).tobytes(), (None, (), 0, ((1,),) * x.order))
+    ceiling = rf(x)
+    best = None
+    for combo in _plain_order(x.shape):
+        sel = IndexSelection(combo)
+        kshape = sel.result_shape()
+        if best is not None:
+            if rf.shape_bound is not None and rf.shape_bound(kshape) <= best[1][2]:
+                continue
+            if max(kshape) <= best[1][2]:
+                continue
+        y = subtensor(x, sel)
+        if y.is_zero():
+            r, mode = 0, None
+        else:
+            r = rf(y)
+            mode = next((p for p, k in enumerate(kshape, start=1) if r == k), None)
+            if mode is None:
+                continue
+        if best is None or r > best[1][2]:
+            indices = sel.indices[mode - 1] if mode is not None else ()
+            best = (y.data.tobytes(), (mode, indices, r, sel.indices))
+            if r == ceiling:
+                break
+    return best
+
+
+def _inflated():
+    return RankFunction("inflated", lambda x: 0 if x.is_zero() else max_tucker_rank(x) + 1)
+
+
+def _equivalence_batch(seed):
+    rng = np.random.default_rng(seed)
+    batch = []
+    for order, high in ((1, 7), (2, 5), (3, 4), (4, 3)):
+        for kind in range(5):
+            shape = tuple(int(d) for d in rng.integers(1, high + 1, size=order))
+            tag = (seed, order, kind)
+            if kind == 0:
+                x = random_tensor(shape, seed=tag)
+            elif kind == 1:
+                x = random_tensor(shape, seed=tag, integer=True)
+            elif kind == 2:
+                x = tucker_structured(shape, tuple(max(1, d - 1) for d in shape), seed=seed)
+            elif kind == 3:
+                x = random_rank_one(shape, seed=tag)
+            else:
+                base = random_tensor(shape, seed=tag)
+                x = DenseTensor(np.concatenate([base.data, base.data[..., :1]], axis=-1))
+            batch.append(x)
+    return batch
+
+
+def test_iter_selections_matches_the_plain_definition():
+    for shape in [(1,), (4,), (2, 2), (3, 1, 2), (2, 3, 4), (2, 2, 2, 2), (1, 1, 3)]:
+        assert [s.indices for s in iter_selections(shape)] == list(_plain_order(shape))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_class_search_matches_the_selection_walk(seed):
+    factories = [
+        max_tucker,
+        submax_tucker,
+        lambda: min_rank(max_tucker(), submax_tucker()),
+        lambda: closure_rank_function(submax_tucker()),
+        lambda: closure_rank_function(closure_rank_function(submax_tucker())),
+        _inflated,
+    ]
+    for x in _equivalence_batch(seed):
+        for make in factories:
+            ref = _reference_extract(make(), x)
+            if ref is None:
+                with pytest.raises(NoFullRankError):
+                    extract_brute_force(make(), x)
+                continue
+            sub, cert = extract_brute_force(make(), x)
+            assert (sub.data.tobytes(), (cert.mode, cert.indices, cert.rank, cert.selection.indices)) == ref
+
+
+def _counting(rf):
+    calls = []
+
+    def evaluator(x):
+        calls.append(x.shape)
+        return rf.evaluator(x)
+
+    return RankFunction(rf.name, evaluator, shape_bound=rf.shape_bound), calls
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (8, 8, 8, 8)])
+def test_band_stop_ends_a_search_without_shape_bound(shape):
+    rf, calls = _counting(_inflated())
+    _, cert = extract_brute_force(rf, random_tensor(shape, seed=4))
+    assert cert.rank == 8
+    assert cert.selection.result_shape() == (1,) * (len(shape) - 2) + (7, 8)
+    assert len(calls) == 8  # rf(x) and the band-8 shapes (1, ..., k, 8), k = 1..7
+
+
+def test_search_budget_stops_a_search_whose_early_stops_never_fire():
+    x = random_tensor((8, 8, 8), seed=5)
+    # never of full rank on x itself, so neither the ceiling nor the band stop fires
+    rf, calls = _counting(RankFunction("size_flag", lambda y: 1 + (y.size == x.size)))
+    with pytest.raises(CapacityError, match="budget"):
+        extract_brute_force(rf, x)
+    assert len(calls) <= SEARCH_BUDGET + 1  # rf(x), then one evaluation per subtensor examined
+
+
+def test_search_budget_leaves_early_stopping_searches_alone():
+    x = tucker_structured((8, 8, 8), (4, 4, 1), seed=0)
+    rf, calls = _counting(max_tucker())
+    _, cert = extract_brute_force(rf, x)
+    assert cert.rank == 4
+    assert len(calls) < SEARCH_BUDGET // 10
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1)])
+def test_no_full_rank_subtensor_names_the_rank_function(shape):
+    x = DenseTensor(np.full(shape, 2.0))
+    with pytest.raises(NoFullRankError, match="inflated"):
+        extract_brute_force(_inflated(), x)
+    with pytest.raises(NoFullRankError):
+        closure_eval(_inflated(), x)

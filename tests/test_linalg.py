@@ -256,3 +256,24 @@ def test_qr_only_above_the_short_side_gate(monkeypatch):
     assert calls == []
     matrix_rank(rng.standard_normal((8, 600)))
     assert calls == [(600, 8)]
+
+
+HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+
+
+@pytest.mark.parametrize("cols", [4, 8000])  # direct SVD, and the wide QR path
+def test_rank_when_sigma_max_overflows(cols):
+    # orthogonal rows: every entry is finite, the two largest singular values are not
+    row_scale = np.array([1.7e308, 1.7e308, 1e300, 1e290])
+    M = np.tile(HADAMARD, (1, cols // 4)) * row_scale[:, None]
+    with np.errstate(over="ignore"):
+        sigma = 2 * np.sqrt(cols / 4) * row_scale
+    assert np.isfinite(M).all() and not np.isfinite(sigma[:2]).any()
+    # the default threshold, max(rows, cols) * eps * sigma_max, falls between sigma_4 and sigma_3
+    assert matrix_rank(M) == 3
+    assert row_basis(M) == RowBasis(indices=(1, 2, 3), rank=3)
+    assert in_row_span(M, row_basis(M), M[3])
+    # an absolute threshold keeps its meaning on the rescaled matrix
+    assert matrix_rank(M, RankTolerance("absolute", 10 * sigma[2])) == 2
+    assert matrix_rank(M, RankTolerance("absolute", 10 * sigma[3])) == 3
+    assert matrix_rank(M, RankTolerance("absolute", 0.1 * sigma[3])) == 4
