@@ -15,9 +15,11 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError, NoFullRankError
-from .linalg import DEFAULT_TOL, RankTolerance, RowBasis, in_row_span, matrix_rank, row_basis
-from .ranks import RankFunction, n_rank
+from .linalg import DEFAULT_TOL, RankTolerance, RowBasis, _reduce, _select_rows, in_row_span, matrix_rank
+from .ranks import RankFunction
 from .tensor import DenseTensor, IndexSelection, subtensor, unfold
 
 __all__ = [
@@ -94,14 +96,19 @@ def extract_max_tucker(
 
     Picks the first mode attaining the largest unfolding rank r, keeps a row
     basis of that unfolding (r mode-p slices) and all other modes in full.
-    The result has max-Tucker rank r, equal to that of x.
+    The result has max-Tucker rank r, equal to that of x.  Each unfolding is
+    factored once: the row basis reuses the reduction that gave mode p its
+    rank.
     """
     if x.is_zero():
         return _zero_certificate(x)
-    ranks = n_rank(x, tol).ranks
-    r = max(ranks)
-    p = ranks.index(r) + 1
-    basis = row_basis(unfold(x, p), tol)
+    r, p, B, exp = -1, 0, None, 0
+    for j in range(1, x.order + 1):
+        Bj, rj, ej = _reduce(unfold(x, j), tol)
+        if rj > r:
+            r, p, B, exp = rj, j, Bj, ej
+    rows = x.shape[p - 1]
+    basis = _select_rows((rows, x.size // rows), B, r, exp, tol)
     sel = IndexSelection(
         tuple(
             basis.indices if l == p else tuple(range(1, n + 1))
@@ -158,12 +165,15 @@ def _band(shape: tuple[int, ...], d: int):
     return shapes, frozenset(_prefixes(shapes))
 
 
-def _walk_band(shape: tuple[int, ...], d: int, live):
+def _walk_band(shape: tuple[int, ...], d: int, live, enter=None):
     """Per-mode index tuples of band d in lexicographic order, restricted to
     kept shapes whose every prefix of sizes is in ``live``.
 
     ``live`` is read at every step, so the caller may shrink it between
     yields and the rest of the walk honours the smaller set at once.
+    ``enter``, if given, is called with the index tuples chosen for the
+    first modes before the walk goes on to the next mode, and every
+    selection extending them is skipped when it returns False.
     """
     order = len(shape)
     capped = [_mode_subsets(n, d) for n in shape]
@@ -177,7 +187,7 @@ def _walk_band(shape: tuple[int, ...], d: int, live):
                 chosen[j] = s
                 if last:
                     yield tuple(chosen)
-                else:
+                elif enter is None or enter(chosen[: j + 1]):
                     yield from expand(j + 1, sizes)
 
     return expand(0, ())
@@ -236,6 +246,10 @@ def extract_brute_force(
     order is unchanged with ties never reordered, so the certificate is the
     first selection in the documented order that attains the best value.
 
+    Once a best value exists, a selection whose first modes pick out an
+    all-zero slab of x is not entered: every subtensor under it is zero, and
+    rank 0 never beats the best.
+
     Each call examines at most ``SEARCH_BUDGET`` subtensors; past that it
     raises :class:`CapacityError`, on top of the entry and dimension caps.
     A rank function that leaves some nonzero tensor with no full-rank
@@ -250,6 +264,12 @@ def extract_brute_force(
     best: FullRankCertificate | None = None
     best_tensor: DenseTensor | None = None
     examined = 0
+
+    def nonzero_slab(prefix) -> bool:
+        grid = np.ix_(*[np.asarray(s, dtype=np.intp) - 1 for s in prefix])
+        return best is None or bool(x.data[grid].any())
+
+    enter = None if x.data.all() else nonzero_slab  # no zero entry, no zero slab
     for d in range(max(x.shape), 0, -1):
         if best is not None and best.rank >= d:
             break  # band stop: no shape left has a dimension above the best
@@ -258,7 +278,7 @@ def extract_brute_force(
             live = set(prefixes)
         else:
             live = _prefixes(_survivors(shapes, bound, best.rank, bounds))
-        for combo in _walk_band(x.shape, d, live):
+        for combo in _walk_band(x.shape, d, live, enter):
             examined += 1
             if examined > SEARCH_BUDGET:
                 raise CapacityError(

@@ -58,8 +58,10 @@ class RankTolerance:
     def threshold(self, shape: tuple[int, int], sigma_max: float) -> float:
         if self.mode == "absolute":
             return self.value
-        factor = self.value if self.value is not None else max(shape) * _EPS
-        return factor * sigma_max
+        return self._factor(shape) * sigma_max
+
+    def _factor(self, shape: tuple[int, int]) -> float:
+        return self.value if self.value is not None else max(shape) * _EPS
 
     def describe(self) -> str:
         if self.mode == "relative" and self.value is None:
@@ -134,10 +136,39 @@ def _reduce(A: np.ndarray, tol: RankTolerance) -> tuple[np.ndarray, int, int]:
         return B, _rank(B, A.shape, tol, exp), exp
 
 
+def _shape_rank(shape: tuple[int, int], tol: RankTolerance) -> int | None:
+    """The rank every nonzero ``shape`` matrix has under ``tol`` when the shape
+    alone fixes it, else None.
+
+    A matrix with one row or one column has a single singular value sigma,
+    and under a relative tolerance it is counted iff sigma > fl(factor *
+    sigma).  For factor <= 1/2 the rounded product is below sigma for every
+    positive sigma, subnormal ones included (half of the smallest subnormal
+    rounds to 0), so the rank is 1; for factor >= 1 it is at least sigma, so
+    the rank is 0.  The SVD's sigma of a nonzero vector is positive, and a
+    sigma that overflows is rescaled exactly (see :func:`_reduce`), so these
+    are the SVD path's answers.  An absolute threshold, or a factor strictly
+    between 1/2 and 1, needs sigma itself.
+    """
+    if tol.mode != "relative" or min(shape) != 1:
+        return None
+    factor = tol._factor(shape)
+    if factor <= 0.5:
+        return 1
+    if factor >= 1.0:
+        return 0
+    return None
+
+
 def matrix_rank(M, tol: RankTolerance = DEFAULT_TOL) -> int:
-    """Count of singular values above the tolerance threshold."""
-    _, r, _ = _reduce(_as_matrix(M), tol)
-    return r
+    """Count of singular values above the tolerance threshold.  A vector
+    whose rank follows from its shape (:func:`_shape_rank`) is only tested
+    for being zero, which has rank 0 under any tolerance."""
+    A = _as_matrix(M)
+    r = _shape_rank(A.shape, tol)
+    if r is None:
+        return _reduce(A, tol)[1]
+    return r if A.any() else 0
 
 
 def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
@@ -153,7 +184,13 @@ def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
     overflow nor underflow at the ends of the float64 range.
     """
     A = _as_matrix(M)
-    B, r, exp = _reduce(A, tol)
+    return _select_rows(A.shape, *_reduce(A, tol), tol)
+
+
+def _select_rows(
+    shape: tuple[int, int], B: np.ndarray, r: int, exp: int, tol: RankTolerance
+) -> RowBasis:
+    """:func:`row_basis` of a ``shape`` matrix from its reduction by :func:`_reduce`."""
     # C order as in a plain copy, so BLAS sums in the same order and exact ties
     # break the same way
     resid = np.ldexp(B, -np.frexp(np.max(np.abs(B)))[1], order="C")
@@ -171,9 +208,9 @@ def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
         resid = resid - np.outer(resid @ q, q)
         resid[k] = 0.0
     indices = tuple(sorted(i + 1 for i in picked))
-    if indices and _rank(B[[i - 1 for i in indices]], (r, A.shape[1]), tol, exp) != r:
+    if indices and _rank(B[[i - 1 for i in indices]], (r, shape[1]), tol, exp) != r:
         raise NumericError(
-            f"row selection lost rank on {A.shape[0]}x{A.shape[1]} matrix (target {r})"
+            f"row selection lost rank on {shape[0]}x{shape[1]} matrix (target {r})"
         )
     return RowBasis(indices=indices, rank=r)
 

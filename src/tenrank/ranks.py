@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .linalg import DEFAULT_TOL, RankTolerance, matrix_rank
+from .linalg import DEFAULT_TOL, RankTolerance, _reduce, _shape_rank
 from .tensor import DenseTensor, unfold
 
 __all__ = [
@@ -49,11 +49,22 @@ class NRank:
 
 
 def n_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> NRank:
-    """Matrix rank of every mode-j unfolding."""
-    return NRank(
-        ranks=tuple(matrix_rank(unfold(x, j), tol) for j in range(1, x.order + 1)),
-        tol=tol,
-    )
+    """Matrix rank of every mode-j unfolding.
+
+    Two cases need no factorization and give the ranks an SVD would: every
+    unfolding of a zero tensor has rank 0, and the unfoldings of a nonzero
+    tensor are nonzero, so one whose shape fixes its rank (one row or one
+    column, see :func:`linalg._shape_rank`) is not even built.  The other
+    unfoldings go straight to the factorization, without the checks
+    :func:`matrix_rank` makes on matrices from outside.
+    """
+    if x.is_zero():
+        return NRank(ranks=(0,) * x.order, tol=tol)
+    ranks = []
+    for j, n in enumerate(x.shape, start=1):
+        r = _shape_rank((n, x.size // n), tol)
+        ranks.append(_reduce(unfold(x, j), tol)[1] if r is None else r)
+    return NRank(ranks=tuple(ranks), tol=tol)
 
 
 def max_tucker_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> int:
@@ -72,10 +83,16 @@ class RankFunction:
     ``shape_bound`` is an optional optimistic upper bound on the value for a
     given shape, used to prune brute-force subtensor enumeration.
 
-    Evaluators must be pure; results are memoised per instance.
+    Evaluators must be pure; results are memoised per instance.  The memo
+    keeps the evaluated tensors alive, so it is emptied whenever their
+    entries would take more than ``_CACHE_BYTES``: 8 MiB, room for 2^20
+    tensors of one entry and for far fewer of the larger tensors that a
+    subtensor search builds.
     """
 
-    _CACHE_LIMIT = 1 << 20
+    _CACHE_BYTES = 1 << 23
+    # (rule, tol) when the value is rule(n_rank(x, tol)); see min_rank
+    _nrank_rule: tuple[Callable[[NRank], int], RankTolerance] | None = None
 
     def __init__(
         self,
@@ -89,14 +106,17 @@ class RankFunction:
         self.declared_properties = frozenset(declared_properties)
         self.shape_bound = shape_bound
         self._cache: dict[DenseTensor, int] = {}
+        self._cache_bytes = 0
 
     def __call__(self, x: DenseTensor) -> int:
         hit = self._cache.get(x)
         if hit is not None:
             return hit
         value = int(self.evaluator(x))
-        if len(self._cache) >= self._CACHE_LIMIT:
+        self._cache_bytes += x.data.nbytes
+        if self._cache_bytes > self._CACHE_BYTES:
             self._cache.clear()
+            self._cache_bytes = x.data.nbytes
         self._cache[x] = value
         return value
 
@@ -109,23 +129,38 @@ def _unfolding_bounds(shape: tuple[int, ...]) -> list[int]:
     return [min(n, total // n) for n in shape]
 
 
+def _from_n_rank(
+    name: str,
+    rule: Callable[[NRank], int],
+    tol: RankTolerance,
+    declared_properties: Iterable[str],
+    shape_bound: Callable[[tuple[int, ...]], int] | None,
+) -> RankFunction:
+    """The rank function x -> rule(n_rank(x, tol)), with its rule and tol kept."""
+    rf = RankFunction(name, lambda x: rule(n_rank(x, tol)), declared_properties, shape_bound)
+    rf._nrank_rule = (rule, tol)
+    return rf
+
+
 def max_tucker(tol: RankTolerance = DEFAULT_TOL) -> RankFunction:
     """Max-Tucker rank: the largest unfolding rank.  Proper and subadditive."""
-    return RankFunction(
+    return _from_n_rank(
         "max_tucker",
-        lambda x: max_tucker_rank(x, tol),
-        declared_properties=("proper", "subadditive"),
-        shape_bound=lambda shape: max(_unfolding_bounds(shape)),
+        lambda nr: nr.max_rank,
+        tol,
+        ("proper", "subadditive"),
+        lambda shape: max(_unfolding_bounds(shape)),
     )
 
 
 def submax_tucker(tol: RankTolerance = DEFAULT_TOL) -> RankFunction:
     """Submax-Tucker rank: the second-largest unfolding rank.  Strongly proper."""
-    return RankFunction(
+    return _from_n_rank(
         "submax_tucker",
-        lambda x: submax_tucker_rank(x, tol),
-        declared_properties=("proper", "strongly_proper"),
-        shape_bound=lambda shape: _submax(_unfolding_bounds(shape)),
+        lambda nr: nr.submax_rank,
+        tol,
+        ("proper", "strongly_proper"),
+        lambda shape: _submax(_unfolding_bounds(shape)),
     )
 
 
@@ -135,15 +170,20 @@ def min_rank(r1: RankFunction, r2: RankFunction) -> RankFunction:
     The minimum keeps proper/strongly-proper declarations (it is dominated by
     both arguments) but never a subadditive one: the minimum of two
     subadditive rank functions need not be subadditive.
+
+    When both arguments are rules on the n-rank at one tolerance (max_tucker,
+    submax_tucker, or minima of them), the minimum is that rule on one
+    n-rank: each argument's value is a function of the same n_rank(x, tol),
+    so computing it once gives both values exactly.  Any other pair
+    evaluates both arguments.
     """
     declared = (r1.declared_properties | r2.declared_properties) & {"proper", "strongly_proper"}
     if r1.shape_bound and r2.shape_bound:
         bound = lambda shape: min(r1.shape_bound(shape), r2.shape_bound(shape))
     else:
         bound = r1.shape_bound or r2.shape_bound
-    return RankFunction(
-        f"min({r1.name},{r2.name})",
-        lambda x: min(r1(x), r2(x)),
-        declared_properties=declared,
-        shape_bound=bound,
-    )
+    name = f"min({r1.name},{r2.name})"
+    if r1._nrank_rule and r2._nrank_rule and r1._nrank_rule[1] == r2._nrank_rule[1]:
+        (rule1, tol), (rule2, _) = r1._nrank_rule, r2._nrank_rule
+        return _from_n_rank(name, lambda nr: min(rule1(nr), rule2(nr)), tol, declared, bound)
+    return RankFunction(name, lambda x: min(r1(x), r2(x)), declared, bound)

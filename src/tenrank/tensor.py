@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def _check_finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError("tensor entries must be finite (no NaN/Inf)")
+    return arr
+
+
 class DenseTensor:
     """Immutable dense tensor of order >= 1 with finite float64 entries.
 
@@ -52,11 +58,21 @@ class DenseTensor:
             raise ValueError("tensor order must be at least 1")
         if any(n < 1 for n in arr.shape):
             raise ValueError(f"shape entries must be >= 1, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("tensor entries must be finite (no NaN/Inf)")
+        _check_finite(arr)
         arr.setflags(write=False)
         self._data = arr
         self._hash: int | None = None
+
+    @classmethod
+    def _of_fresh(cls, arr: np.ndarray) -> "DenseTensor":
+        """Wrap a float64 array that nothing else refers to, without the
+        constructor's copy.  Its entries must be finite: either taken from a
+        DenseTensor or passed through :func:`_check_finite`."""
+        t = cls.__new__(cls)
+        arr.setflags(write=False)
+        t._data = arr
+        t._hash = None
+        return t
 
     @property
     def data(self) -> np.ndarray:
@@ -166,7 +182,7 @@ def subtensor(x: DenseTensor, sel: IndexSelection) -> DenseTensor:
     """Extract the subtensor given by per-mode index subsets."""
     sel.validate_for(x.shape)
     grid = np.ix_(*[np.asarray(mode, dtype=np.intp) - 1 for mode in sel.indices])
-    return DenseTensor(x.data[grid])
+    return DenseTensor._of_fresh(x.data[grid])
 
 
 def p_row(x: DenseTensor, p: int, q: int) -> DenseTensor:
@@ -193,7 +209,8 @@ def permute_modes(x: DenseTensor, sigma: Sequence[int]) -> DenseTensor:
     perm = tuple(int(s) for s in sigma)
     if sorted(perm) != list(range(1, x.order + 1)):
         raise ValueError(f"{perm} is not a permutation of 1..{x.order}")
-    return DenseTensor(np.transpose(x.data, [s - 1 for s in perm]))
+    # np.array copies in the transposed layout (order "K"), as the constructor does
+    return DenseTensor._of_fresh(np.array(np.transpose(x.data, [s - 1 for s in perm])))
 
 
 def outer_product(vectors: Sequence[Sequence[float]]) -> DenseTensor:
@@ -231,9 +248,21 @@ def _check_mode(mode: int, order: int) -> int:
 
 def unfold(x: DenseTensor, mode: int) -> np.ndarray:
     """Mode-j unfolding: rows are mode-j fibers, columns ordered with the
-    remaining modes in increasing mode order, earliest varying fastest."""
+    remaining modes in increasing mode order, earliest varying fastest.
+
+    The result is a fresh array, in F order, that the caller may modify.
+    With the other modes put last-to-first ahead of mode j, a C-order
+    reshape makes the earliest other mode vary fastest, so the transpose of
+    that reshape is the unfolding.  The reshape copies whenever two or more
+    other modes have more than one index; otherwise (matrices, vectors,
+    singleton modes) it is a view of x, and only then is it copied.
+    """
     j = _check_mode(mode, x.order)
-    return np.array(np.moveaxis(x.data, j, 0).reshape(x.shape[j], -1, order="F"))
+    a = x.data
+    n = a.ndim
+    axes = tuple(range(n - 1, j, -1)) + tuple(range(j - 1, -1, -1)) + (j,)
+    M = a.transpose(axes).reshape(-1, a.shape[j]).T
+    return np.array(M) if np.may_share_memory(M, a) else M
 
 
 def fold(matrix, mode: int, shape: Sequence[int]) -> DenseTensor:
@@ -264,13 +293,14 @@ def mode_product(x: DenseTensor, matrix, mode: int) -> DenseTensor:
 
 
 def scale(x: DenseTensor, alpha: float) -> DenseTensor:
-    return DenseTensor(float(alpha) * x.data)
+    # the product may overflow, so it is scanned; it is fresh, so not copied
+    return DenseTensor._of_fresh(_check_finite(float(alpha) * x.data))
 
 
 def add(x: DenseTensor, y: DenseTensor) -> DenseTensor:
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return DenseTensor(x.data + y.data)
+    return DenseTensor._of_fresh(_check_finite(x.data + y.data))
 
 
 _NORM_SAFE = (1e-100, 1e100)

@@ -4,6 +4,7 @@ A reduced fixture battery keeps this module quick; the full-size battery runs
 in the acceptance suite.
 """
 import json
+from pathlib import Path
 
 import pytest
 
@@ -132,3 +133,11 @@ def test_shape_bounds_hold_across_battery(fixtures):
 
     x = counterexample_2x3x4()
     assert rsub(x) < rmax(x)
+
+
+def test_reports_match_the_frozen_seed_101_documents():
+    # written by one SVD per unfolding, with none of the n-rank shortcuts
+    frozen = json.loads((Path(__file__).parent / "data" / "axiom_reports_seed101.json").read_text())
+    fx = standard_fixtures(seed=101)
+    rfs = (max_tucker(), submax_tucker(), min_rank(max_tucker(), submax_tucker()))
+    assert [write_report(axiom_report(rf, fx), None) for rf in rfs] == frozen

@@ -20,9 +20,12 @@ from tenrank import (
     max_tucker,
     max_tucker_rank,
     min_rank,
+    n_rank,
+    row_basis,
     scale,
     submax_tucker,
     subtensor,
+    unfold,
     verify_span_certificate,
 )
 from tenrank.fullrank import SEARCH_BUDGET, iter_selections
@@ -288,6 +291,24 @@ def _equivalence_batch(seed):
     return batch
 
 
+def _sparse_batch(seed):
+    rng = np.random.default_rng(seed)
+    batch = []
+    for order, high in ((2, 5), (3, 4), (4, 3)):
+        for kind in range(4):
+            shape = tuple(int(d) for d in rng.integers(1, high + 1, size=order))
+            a = np.zeros(shape)
+            if kind == 0:  # one nonzero entry in the last corner
+                a[(-1,) * order] = 1.0
+            elif kind == 1:  # one random nonzero entry
+                a[tuple(int(rng.integers(n)) for n in shape)] = rng.standard_normal()
+            else:  # a few to many nonzero entries
+                keep = rng.random(shape) < (0.15 if kind == 2 else 0.4)
+                a = np.where(keep, rng.integers(-2, 3, size=shape), 0).astype(float)
+            batch.append(DenseTensor(a))
+    return batch
+
+
 def test_iter_selections_matches_the_plain_definition():
     for shape in [(1,), (4,), (2, 2), (3, 1, 2), (2, 3, 4), (2, 2, 2, 2), (1, 1, 3)]:
         assert [s.indices for s in iter_selections(shape)] == list(_plain_order(shape))
@@ -303,7 +324,7 @@ def test_class_search_matches_the_selection_walk(seed):
         lambda: closure_rank_function(closure_rank_function(submax_tucker())),
         _inflated,
     ]
-    for x in _equivalence_batch(seed):
+    for x in _equivalence_batch(seed) + _sparse_batch(seed):  # sparse: zero-slab skips
         for make in factories:
             ref = _reference_extract(make(), x)
             if ref is None:
@@ -357,3 +378,34 @@ def test_no_full_rank_subtensor_names_the_rank_function(shape):
         extract_brute_force(_inflated(), x)
     with pytest.raises(NoFullRankError):
         closure_eval(_inflated(), x)
+
+
+def test_extract_max_tucker_factors_each_unfolding_once(monkeypatch):
+    # 20x400 unfoldings: 2 * rows <= cols and 8000 entries, so each goes through one QR
+    x = tucker_structured((20, 20, 20), (6, 5, 4), seed=3)
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    _, cert = extract_max_tucker(x)
+    assert calls == [(400, 20)] * 3
+    monkeypatch.undo()
+    # the certificate of the separate n_rank + row_basis passes
+    ranks = n_rank(x).ranks
+    p = ranks.index(max(ranks)) + 1
+    assert (cert.mode, cert.indices, cert.rank) == (p, row_basis(unfold(x, p)).indices, max(ranks))
+    assert verify_span_certificate(x, cert)
+
+
+def test_corner_tensor_search_skips_zero_subtensors():
+    a = np.zeros((8, 8, 8, 8))
+    a[-1, -1, -1, -1] = 3.0
+    rf, calls = _counting(max_tucker())
+    _, cert = extract_brute_force(rf, DenseTensor(a))
+    assert cert.rank == 1 and cert.mode == 4
+    assert cert.selection.indices == (tuple(range(1, 9)),) * 3 + ((8,),)
+    assert len(calls) <= 8  # rf(x) and the few nonzero subtensors before the ceiling stop

@@ -277,3 +277,65 @@ def test_rank_when_sigma_max_overflows(cols):
     assert matrix_rank(M, RankTolerance("absolute", 10 * sigma[2])) == 2
     assert matrix_rank(M, RankTolerance("absolute", 10 * sigma[3])) == 3
     assert matrix_rank(M, RankTolerance("absolute", 0.1 * sigma[3])) == 4
+
+
+# ------------------------------------------------ shapes that fix the rank
+
+def plain_svd_rank(A, tol=RankTolerance()):
+    """The singular values of A counted against the threshold, with no shortcut."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return 0 if s[0] == 0.0 else int(np.count_nonzero(s > tol.threshold(A.shape, s[0])))
+
+
+TOLERANCES = [
+    RankTolerance(),
+    RankTolerance("relative", 0.5),
+    RankTolerance("relative", 1.0),
+    RankTolerance("absolute", 1e-8),
+    RankTolerance("absolute", 0.0),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 10_000),
+    zeros=st.floats(0.0, 1.0),
+    k=st.integers(-300, 300),
+    tol=st.sampled_from(TOLERANCES),
+)
+def test_matrix_rank_matches_the_plain_svd_count(shape, seed, zeros, k, tol):
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-3, 4, size=shape) * (rng.random(shape) >= zeros) * 10.0**k
+    assert matrix_rank(A, tol) == plain_svd_rank(A, tol)
+
+
+@pytest.mark.parametrize("v", [[5e-324], [0.0, 1e-310, 0.0], [1e308, -1e308, 1e308], [2.0, -3.0]])
+def test_vector_rank_needs_no_svd(monkeypatch, v):
+    expected = {  # the SVD path's answers, taken before it is switched off
+        (tol, shape): plain_svd_rank(np.reshape(v, shape), tol)
+        for tol in (RankTolerance(), RankTolerance("relative", 0.5), RankTolerance("relative", 1.0))
+        for shape in [(1, -1), (-1, 1)]
+    }
+    assert {r for (tol, _), r in expected.items() if tol.value != 1.0} == {1}
+    assert {r for (tol, _), r in expected.items() if tol.value == 1.0} == {0}
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for (tol, shape), r in expected.items():
+        assert matrix_rank(np.reshape(v, shape), tol) == r
+        assert matrix_rank(np.zeros_like(np.reshape(v, shape)), tol) == 0
+    monkeypatch.undo()
+    # absolute tolerances and factors strictly between 1/2 and 1 need sigma itself
+    for tol in (RankTolerance("absolute", 1.0), RankTolerance("relative", 0.75)):
+        assert matrix_rank(np.reshape(v, (1, -1)), tol) == plain_svd_rank(np.reshape(v, (1, -1)), tol)
+
+
+def test_vector_whose_norm_overflows_has_rank_one():
+    v = np.array([1.7e308, -1.7e308])
+    for M in (v.reshape(1, -1), v.reshape(-1, 1)):
+        assert matrix_rank(M) == 1
+        assert matrix_rank(M, RankTolerance("absolute", 1e308)) == 1
+        assert row_basis(M).rank == 1

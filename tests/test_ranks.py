@@ -1,8 +1,17 @@
 """n-rank and the max/submax scalar rank functions."""
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tenrank.ranks
 
 from tenrank import (
+    CapacityError,
     DenseTensor,
+    RankFunction,
+    RankTolerance,
+    extract_brute_force,
     identity_tensor,
     max_tucker,
     max_tucker_rank,
@@ -17,6 +26,7 @@ from tenrank.generators import (
     matrix_embedded,
     random_rank_one,
     random_tensor,
+    tucker_structured,
     zero_tensor,
 )
 from tenrank.ranks import _submax
@@ -123,3 +133,106 @@ def test_min_rank_declarations():
     combined = min_rank(max_tucker(), submax_tucker())
     assert "subadditive" not in combined.declared_properties
     assert "proper" in combined.declared_properties
+
+
+# --------------------------------------- n-rank shortcuts against the plain SVD
+
+def reference_n_rank(x, tol):
+    """Every unfolding built by moving the mode first and reshaping in F order,
+    every singular value counted against the threshold, no shortcut."""
+    ranks = []
+    for j in range(x.order):
+        A = np.array(np.moveaxis(x.data, j, 0).reshape(x.shape[j], -1, order="F"))
+        s = np.linalg.svd(A, compute_uv=False)
+        ranks.append(0 if s[0] == 0.0 else int(np.count_nonzero(s > tol.threshold(A.shape, s[0]))))
+    return tuple(ranks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+    seed=st.integers(0, 10_000),
+    zeros=st.floats(0.0, 1.0),
+    k=st.integers(-300, 300),
+    tol=st.sampled_from(
+        [
+            RankTolerance(),
+            RankTolerance("relative", 0.5),
+            RankTolerance("relative", 1.0),
+            RankTolerance("absolute", 1e-8),
+        ]
+    ),
+)
+def test_n_rank_matches_the_plain_per_mode_svd_count(shape, seed, zeros, k, tol):
+    rng = np.random.default_rng(seed)
+    x = DenseTensor(rng.standard_normal(shape) * (rng.random(shape) >= zeros) * 10.0**k)
+    assert n_rank(x, tol).ranks == reference_n_rank(x, tol)
+
+
+def test_n_rank_factors_nothing_for_zero_tensors_and_vector_unfoldings(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert n_rank(zero_tensor((2, 3, 4))).ranks == (0, 0, 0)
+    assert n_rank(DenseTensor(np.arange(1.0, 6.0).reshape(1, 5, 1))).ranks == (1, 1, 1)
+    assert n_rank(DenseTensor([0.0, 2.0, 0.0])).ranks == (1,)
+
+
+def counting_n_rank(monkeypatch):
+    calls = []
+    plain = tenrank.ranks.n_rank
+
+    def counting(x, tol=RankTolerance()):
+        calls.append(x)
+        return plain(x, tol)
+
+    monkeypatch.setattr(tenrank.ranks, "n_rank", counting)
+    return calls
+
+
+def test_min_of_tucker_ranks_takes_one_n_rank_per_new_tensor(monkeypatch):
+    calls = counting_n_rank(monkeypatch)
+    rmax, rsub = max_tucker(), submax_tucker()
+    combined = min_rank(rmax, rsub)
+    nested = min_rank(combined, rmax)
+    tensors = [random_tensor((2, 3, 4), seed=s, integer=s % 2 == 0) for s in range(20)]
+    tensors += [counterexample_2x3x4(), counterexample_3x2x2(), zero_tensor((2, 2)), DenseTensor([1.0])]
+    for rf in (combined, nested):
+        calls.clear()
+        values = [rf(t) for t in tensors + tensors]
+        assert len(calls) == len(tensors)
+        assert values == [min(n_rank(t).max_rank, n_rank(t).submax_rank) for t in tensors + tensors]
+
+
+def test_min_rank_of_other_pairs_evaluates_both(monkeypatch):
+    calls = counting_n_rank(monkeypatch)
+    loose = RankTolerance("relative", 0.3)
+    pairs = [
+        (max_tucker(), submax_tucker(loose)),  # tolerances differ
+        (max_tucker(), RankFunction("inflated", lambda y: max_tucker_rank(y) + 1)),
+    ]
+    x = random_tensor((3, 3, 4), seed=1)
+    for r1, r2 in pairs:
+        calls.clear()
+        assert min_rank(r1, r2)(x) == min(r1(x), r2(x))
+        assert len(calls) == 2
+
+
+def test_memo_stays_within_its_byte_budget_on_a_budget_length_search():
+    rf = max_tucker()
+    budget = RankFunction._CACHE_BYTES
+    seen, evaluated = [], []
+    plain = rf.evaluator
+
+    def evaluator(y):
+        seen.append(rf._cache_bytes)  # the memo as the previous call left it
+        evaluated.append(y.data.nbytes)
+        return plain(y)
+
+    rf.evaluator = evaluator
+    with pytest.raises(CapacityError, match="budget"):
+        extract_brute_force(rf, tucker_structured((8, 8, 8, 8), (8, 8, 1, 1), seed=0))
+    assert sum(evaluated) > 2 * budget  # the search would overflow an unbounded memo
+    assert max(seen + [rf._cache_bytes]) <= budget
+    assert rf._cache_bytes == sum(t.data.nbytes for t in rf._cache)

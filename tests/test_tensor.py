@@ -392,3 +392,50 @@ def test_mode_products_commute_across_modes():
     one_way = mode_product(mode_product(x, A, 1), B, 2)
     other = mode_product(mode_product(x, B, 2), A, 1)
     assert one_way == other
+
+
+# ------------------------------------------------- one-copy unfold, no recopy
+
+def reference_unfold(x, mode):
+    """The moved-axes, F-order reshape and copy that unfold replaced."""
+    j = mode - 1
+    return np.array(np.moveaxis(x.data, j, 0).reshape(x.shape[j], -1, order="F"))
+
+
+def layout(a):
+    return a.shape, a.tobytes(), a.flags.c_contiguous, a.flags.f_contiguous
+
+
+def test_unfold_matches_the_reference_copy_in_bytes_and_layout():
+    rng = np.random.default_rng(3)
+    for order in range(1, 5):
+        for shape in itertools.product((1, 2, 3), repeat=order):
+            x = DenseTensor(rng.standard_normal(shape))
+            for mode in range(1, order + 1):
+                M = unfold(x, mode)
+                assert layout(M) == layout(reference_unfold(x, mode))
+                assert M.flags.writeable and not np.shares_memory(M, x.data)
+
+
+def test_derived_tensors_keep_the_constructor_layout():
+    rng = np.random.default_rng(4)
+    for shape in [(3,), (2, 3), (1, 4, 2), (3, 1, 2, 2)]:
+        x = DenseTensor(rng.standard_normal(shape))
+        sel = IndexSelection(tuple(tuple(range(1, n + 1, 2)) for n in shape))
+        grid = np.ix_(*[np.asarray(m) - 1 for m in sel.indices])
+        cases = [(subtensor(x, sel), DenseTensor(x.data[grid]))]
+        for sigma in itertools.permutations(range(1, len(shape) + 1)):
+            y = permute_modes(x, sigma)
+            cases.append((y, DenseTensor(np.transpose(x.data, [s - 1 for s in sigma]))))
+            # permuted layouts carry over to scaled and added tensors
+            cases.append((scale(y, -2.5), DenseTensor(-2.5 * y.data)))
+            cases.append((add(y, y), DenseTensor(y.data + y.data)))
+        for got, ref in cases:
+            assert got == ref
+            assert layout(got.data) == layout(ref.data) and got.data.strides == ref.data.strides
+            assert not got.data.flags.writeable and not np.shares_memory(got.data, x.data)
+    with np.errstate(over="ignore"):  # overflow is still rejected
+        with pytest.raises(ValueError, match="finite"):
+            scale(DenseTensor([1e308]), 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            add(DenseTensor([1e308]), DenseTensor([1e308]))
