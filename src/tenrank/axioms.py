@@ -42,6 +42,8 @@ __all__ = [
 AXIOMS = ("P1", "P2", "P3", "P4", "P5", "P6")
 EXTRAS = ("proper", "strongly_proper", "subadditive")
 
+MAX_DIM = 6
+ORDERS = (2, 3, 4)
 SCALINGS = (-2.0, -1.0, 0.5, 3.0)
 PERMUTATIONS_PER_FIXTURE = 5
 SELECTIONS_PER_FIXTURE = 10
@@ -77,8 +79,6 @@ def _is_integer_valued(x: DenseTensor) -> bool:
 def standard_fixtures(
     seed: int = 0,
     random_count: int = 200,
-    max_dim: int = 6,
-    orders: tuple[int, ...] = (2, 3, 4),
     random_pairs: int = 100,
 ) -> FixtureSet:
     """The default battery: reference counterexamples first (so they are the
@@ -106,7 +106,7 @@ def standard_fixtures(
 
     rng = np.random.default_rng((seed, 2))
     for i, trailing in enumerate((0, 1, 2, 0, 1, 2)):
-        n1, n2 = rng.integers(2, max_dim + 1, size=2)
+        n1, n2 = rng.integers(2, MAX_DIM + 1, size=2)
         if i % 2 == 0:
             mat = rng.integers(-3, 4, size=(n1, n2)).astype(float)
         else:
@@ -120,11 +120,11 @@ def standard_fixtures(
 
     rng = np.random.default_rng((seed, 3))
     for i in range(random_count):
-        order = int(rng.choice(orders))
+        order = int(rng.choice(ORDERS))
         if i % 10 == 0:  # keep a steady supply of cubic fixtures for the proper check
-            shape = (int(rng.integers(2, max_dim + 1)),) * order
+            shape = (int(rng.integers(2, MAX_DIM + 1)),) * order
         else:
-            shape = tuple(int(d) for d in rng.integers(1, max_dim + 1, size=order))
+            shape = tuple(int(d) for d in rng.integers(1, MAX_DIM + 1, size=order))
         style = i % 5
         if style == 0:
             t = gen.random_tensor(shape, seed=(seed, 4, i), integer=True)
@@ -139,8 +139,8 @@ def standard_fixtures(
     pairs = [FixturePair("block_pair", y, z)]
     rng = np.random.default_rng((seed, 7))
     for i in range(random_pairs):
-        order = int(rng.choice(orders))
-        shape = tuple(int(d) for d in rng.integers(1, max_dim + 1, size=order))
+        order = int(rng.choice(ORDERS))
+        shape = tuple(int(d) for d in rng.integers(1, MAX_DIM + 1, size=order))
         pairs.append(
             FixturePair(
                 f"pair_{i:03d}_{_tag(shape)}",
@@ -184,101 +184,54 @@ class AxiomReport:
         return self.axioms_pass() and all(self.result(p).passed for p in declared)
 
 
-def axiom_report(
-    rf: RankFunction,
-    fixtures: FixtureSet | None = None,
-    tol: RankTolerance = DEFAULT_TOL,
-) -> AxiomReport:
-    """Run every check against the fixture set and collect per-property results."""
-    fx = fixtures if fixtures is not None else standard_fixtures()
-    report = AxiomReport(rank_function=rf.name, tol=tol)
-    report.results.append(_check_p1(rf, fx, tol))
-    report.results.append(_check_p2(rf, fx))
-    report.results.append(_check_p3(rf, fx, tol))
-    report.results.append(_check_p4(rf, fx))
-    report.results.append(_check_p5(rf, fx))
-    report.results.append(_check_p6(rf, fx))
-    report.results.append(_check_proper(rf, fx))
-    report.results.append(_check_strongly_proper(rf, fx))
-    report.results.append(_check_subadditive(rf, fx))
-    return report
-
-
-def _fail(name, checks, fixture_name, witness, detail) -> PropertyResult:
-    return PropertyResult(name, False, checks, fixture_name, witness, detail)
-
-
-def _check_p1(rf, fx, tol) -> PropertyResult:
-    checks = 0
+def _p1(rf, fx, tol):
     for f in fx.tensors:
         r = rf(f.tensor)
-        checks += 1
         if f.kind == "zero" and r != 0:
-            return _fail("P1", checks, f.name, (f.tensor,), f"zero tensor got rank {r}")
-        if r == 0 and not f.tensor.is_zero():
-            return _fail("P1", checks, f.name, (f.tensor,), "rank 0 on a nonzero tensor")
-        if f.kind == "rank1" and r != 1:
-            return _fail("P1", checks, f.name, (f.tensor,), f"rank-one tensor got rank {r}")
-        if r == 1 and f.integer_valued:
-            if any(v != 1 for v in n_rank(f.tensor, tol).ranks):
-                return _fail("P1", checks, f.name, (f.tensor,), "rank 1 on a non-rank-one tensor")
-    return PropertyResult("P1", True, checks)
+            detail = f"zero tensor got rank {r}"
+        elif r == 0 and not f.tensor.is_zero():
+            detail = "rank 0 on a nonzero tensor"
+        elif f.kind == "rank1" and r != 1:
+            detail = f"rank-one tensor got rank {r}"
+        elif r == 1 and f.integer_valued and any(v != 1 for v in n_rank(f.tensor, tol).ranks):
+            detail = "rank 1 on a non-rank-one tensor"
+        else:
+            detail = ""
+        yield f.name, (f.tensor,), detail
 
 
-def _check_p2(rf, fx) -> PropertyResult:
-    checks = 0
+def _p2(rf, fx, tol):
     for f in fx.tensors:
-        if f.kind != "identity":
-            continue
-        checks += 1
-        r = rf(f.tensor)
-        if r != f.identity_n:
-            return _fail("P2", checks, f.name, (f.tensor,), f"expected {f.identity_n}, got {r}")
-    return PropertyResult("P2", True, checks)
+        if f.kind == "identity":
+            r = rf(f.tensor)
+            yield f.name, (f.tensor,), r != f.identity_n and f"expected {f.identity_n}, got {r}"
 
 
-def _check_p3(rf, fx, tol) -> PropertyResult:
-    checks = 0
+def _p3(rf, fx, tol):
     for f in fx.tensors:
-        if f.kind != "matrix":
-            continue
-        checks += 1
-        n1, n2 = f.tensor.shape[:2]
-        expected = matrix_rank(f.tensor.data.reshape(n1, n2), tol)
-        r = rf(f.tensor)
-        if r != expected:
-            return _fail("P3", checks, f.name, (f.tensor,), f"matrix rank {expected}, got {r}")
-    return PropertyResult("P3", True, checks)
+        if f.kind == "matrix":
+            n1, n2 = f.tensor.shape[:2]
+            expected = matrix_rank(f.tensor.data.reshape(n1, n2), tol)
+            r = rf(f.tensor)
+            yield f.name, (f.tensor,), r != expected and f"matrix rank {expected}, got {r}"
 
 
-def _check_p4(rf, fx) -> PropertyResult:
-    checks = 0
+def _p4(rf, fx, tol):
     for f in fx.tensors:
         base = rf(f.tensor)
         for alpha in SCALINGS:
-            checks += 1
             r = rf(scale(f.tensor, alpha))
-            if r != base:
-                return _fail(
-                    "P4", checks, f.name, (f.tensor,), f"rank {base} became {r} under alpha={alpha}"
-                )
-    return PropertyResult("P4", True, checks)
+            yield f.name, (f.tensor,), r != base and f"rank {base} became {r} under alpha={alpha}"
 
 
-def _check_p5(rf, fx) -> PropertyResult:
-    checks = 0
+def _p5(rf, fx, tol):
     for i, f in enumerate(fx.tensors):
         base = rf(f.tensor)
         rng = np.random.default_rng((fx.seed, 10, i))
         for _ in range(PERMUTATIONS_PER_FIXTURE):
             sigma = tuple(int(s) + 1 for s in rng.permutation(f.tensor.order))
-            checks += 1
             r = rf(permute_modes(f.tensor, sigma))
-            if r != base:
-                return _fail(
-                    "P5", checks, f.name, (f.tensor,), f"rank {base} became {r} under {sigma}"
-                )
-    return PropertyResult("P5", True, checks)
+            yield f.name, (f.tensor,), r != base and f"rank {base} became {r} under {sigma}"
 
 
 def _random_selection(shape, rng) -> IndexSelection:
@@ -289,64 +242,72 @@ def _random_selection(shape, rng) -> IndexSelection:
     return IndexSelection(tuple(picks))
 
 
-def _check_p6(rf, fx) -> PropertyResult:
-    checks = 0
+def _p6(rf, fx, tol):
     for i, f in enumerate(fx.tensors):
         base = rf(f.tensor)
         rng = np.random.default_rng((fx.seed, 11, i))
         for _ in range(SELECTIONS_PER_FIXTURE):
-            sel = _random_selection(f.tensor.shape, rng)
-            checks += 1
-            r = rf(subtensor(f.tensor, sel))
-            if r > base:
-                return _fail(
-                    "P6", checks, f.name, (f.tensor,), f"subtensor rank {r} exceeds {base}"
-                )
-    return PropertyResult("P6", True, checks)
+            r = rf(subtensor(f.tensor, _random_selection(f.tensor.shape, rng)))
+            yield f.name, (f.tensor,), r > base and f"subtensor rank {r} exceeds {base}"
 
 
-def _check_proper(rf, fx) -> PropertyResult:
-    checks = 0
+def _proper(rf, fx, tol):
     for f in fx.tensors:
-        shape = f.tensor.shape
-        if len(set(shape)) != 1:
-            continue
-        checks += 1
-        r = rf(f.tensor)
-        if r > shape[0]:
-            return _fail("proper", checks, f.name, (f.tensor,), f"rank {r} > dimension {shape[0]}")
-    return PropertyResult("proper", True, checks)
+        if len(set(f.tensor.shape)) == 1:
+            n, r = f.tensor.shape[0], rf(f.tensor)
+            yield f.name, (f.tensor,), r > n and f"rank {r} > dimension {n}"
 
 
-def _check_strongly_proper(rf, fx) -> PropertyResult:
-    checks = 0
+def _strongly_proper(rf, fx, tol):
     for f in fx.tensors:
-        if f.tensor.order < 2:
-            continue
-        checks += 1
-        bound = _submax(f.tensor.shape)
-        r = rf(f.tensor)
-        if r > bound:
-            return _fail(
-                "strongly_proper", checks, f.name, (f.tensor,), f"rank {r} > submax dim {bound}"
-            )
-    return PropertyResult("strongly_proper", True, checks)
+        if f.tensor.order >= 2:
+            bound = _submax(f.tensor.shape)
+            r = rf(f.tensor)
+            yield f.name, (f.tensor,), r > bound and f"rank {r} > submax dim {bound}"
 
 
-def _check_subadditive(rf, fx) -> PropertyResult:
-    checks = 0
+def _subadditive(rf, fx, tol):
     for p in fx.pairs:
-        checks += 1
         rx, ry, rsum = rf(p.x), rf(p.y), rf(add(p.x, p.y))
-        if rsum > rx + ry:
-            return _fail(
-                "subadditive",
-                checks,
-                p.name,
-                (p.x, p.y),
-                f"rank(x+y)={rsum} > {rx}+{ry}",
-            )
-    return PropertyResult("subadditive", True, checks)
+        yield p.name, (p.x, p.y), rsum > rx + ry and f"rank(x+y)={rsum} > {rx}+{ry}"
+
+
+# property name -> cases(rf, fixtures, tol), in report order.  Each case is
+# one check: (fixture name, witness tensors, failure detail), the detail
+# falsy when the check passes.  Cases are generated lazily, so no property
+# evaluates rf past its first counterexample.
+PROPERTIES = {
+    "P1": _p1,
+    "P2": _p2,
+    "P3": _p3,
+    "P4": _p4,
+    "P5": _p5,
+    "P6": _p6,
+    "proper": _proper,
+    "strongly_proper": _strongly_proper,
+    "subadditive": _subadditive,
+}
+
+
+def _check(name: str, cases) -> PropertyResult:
+    """Count one property's checks up to and including its first failure."""
+    checks = 0
+    for fixture_name, witness, detail in cases:
+        checks += 1
+        if detail:
+            return PropertyResult(name, False, checks, fixture_name, witness, detail)
+    return PropertyResult(name, True, checks)
+
+
+def axiom_report(
+    rf: RankFunction,
+    fixtures: FixtureSet | None = None,
+    tol: RankTolerance = DEFAULT_TOL,
+) -> AxiomReport:
+    """Run every check against the fixture set and collect per-property results."""
+    fx = fixtures if fixtures is not None else standard_fixtures()
+    results = [_check(name, cases(rf, fx, tol)) for name, cases in PROPERTIES.items()]
+    return AxiomReport(rank_function=rf.name, tol=tol, results=results)
 
 
 def write_report(report: AxiomReport, json_path, witness_dir=None) -> dict:

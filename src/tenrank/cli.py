@@ -39,6 +39,31 @@ EXIT_NUMERIC = 5
 RANK_FUNCTIONS = {"max": max_tucker, "submax": submax_tucker}
 
 
+def _need_shape(args) -> tuple[int, ...]:
+    if not args.shape:
+        raise ValueError(f"{args.kind} needs --shape")
+    return tuple(args.shape)
+
+
+def _identity(args):
+    if args.m is None or args.n is None:
+        raise ValueError("identity needs --m and --n")
+    return identity_tensor(args.m, args.n)
+
+
+# gen kind -> builder from the parsed arguments; block-pair builds two tensors
+GENERATORS = {
+    "zero": lambda a: gen.zero_tensor(_need_shape(a)),
+    "rank1": lambda a: gen.random_rank_one(_need_shape(a), seed=a.seed, integer=a.integer),
+    "identity": _identity,
+    "counterexample-2x3x4": lambda a: gen.counterexample_2x3x4(),
+    "counterexample-3x2x2": lambda a: gen.counterexample_3x2x2(),
+    "block-pair": lambda a: gen.block_pair(seed=a.seed),
+    "planted-tucker": lambda a: gen.planted_tucker(_need_shape(a), tuple(a.core), a.snr, a.seed),
+    "random": lambda a: gen.random_tensor(_need_shape(a), seed=a.seed, integer=a.integer),
+}
+
+
 def _tolerance(args) -> RankTolerance:
     return RankTolerance(args.tol_mode, args.tol)
 
@@ -53,19 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen", help="generate a tensor file")
-    p.add_argument(
-        "kind",
-        choices=[
-            "zero",
-            "rank1",
-            "identity",
-            "counterexample-2x3x4",
-            "counterexample-3x2x2",
-            "block-pair",
-            "planted-tucker",
-            "random",
-        ],
-    )
+    p.add_argument("kind", choices=GENERATORS)
     p.add_argument("--out", required=True)
     p.add_argument("--out2", help="second output file (block-pair writes two tensors)")
     p.add_argument("--shape", type=int, nargs="+")
@@ -124,39 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    seed = args.seed
-    if args.kind == "zero":
-        t = gen.zero_tensor(_need_shape(args))
-    elif args.kind == "rank1":
-        t = gen.random_rank_one(_need_shape(args), seed=seed, integer=args.integer)
-    elif args.kind == "identity":
-        if args.m is None or args.n is None:
-            raise ValueError("identity needs --m and --n")
-        t = identity_tensor(args.m, args.n)
-    elif args.kind == "counterexample-2x3x4":
-        t = gen.counterexample_2x3x4()
-    elif args.kind == "counterexample-3x2x2":
-        t = gen.counterexample_3x2x2()
-    elif args.kind == "block-pair":
-        y, z = gen.block_pair(seed=seed)
-        out2 = args.out2 or str(Path(args.out).with_suffix("")) + "_z.tns"
-        write_tensor(y, args.out, binary=args.binary)
-        write_tensor(z, out2, binary=args.binary)
-        print(f"wrote {args.out} and {out2}")
-        return EXIT_OK
-    elif args.kind == "planted-tucker":
-        t = gen.planted_tucker(_need_shape(args), tuple(args.core), args.snr, seed)
-    else:
-        t = gen.random_tensor(_need_shape(args), seed=seed, integer=args.integer)
-    write_tensor(t, args.out, binary=args.binary)
-    print(f"wrote {args.out}")
+    built = GENERATORS[args.kind](args)
+    tensors = built if isinstance(built, tuple) else (built,)
+    paths = [args.out, args.out2 or str(Path(args.out).with_suffix("")) + "_z.tns"][: len(tensors)]
+    for t, path in zip(tensors, paths):
+        write_tensor(t, path, binary=args.binary)
+    print("wrote " + " and ".join(paths))
     return EXIT_OK
-
-
-def _need_shape(args) -> tuple[int, ...]:
-    if not args.shape:
-        raise ValueError(f"{args.kind} needs --shape")
-    return tuple(args.shape)
 
 
 def _cmd_rank(args) -> int:

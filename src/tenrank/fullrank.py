@@ -287,13 +287,10 @@ def extract_brute_force(
                 )
             sel = IndexSelection(combo)
             y = subtensor(x, sel)
-            if y.is_zero():
-                r, mode = 0, None
-            else:
-                r = rf(y)
-                mode = next((p for p, k in enumerate(y.shape, start=1) if r == k), None)
-                if mode is None:
-                    continue
+            full, mode = is_full_rank(rf, y)
+            if not full:
+                continue
+            r = y.shape[mode - 1] if mode is not None else 0
             if best is None or r > best.rank:
                 indices = sel.indices[mode - 1] if mode is not None else ()
                 best = FullRankCertificate(mode, indices, r, sel)

@@ -32,6 +32,10 @@ from .errors import NumericError
 __all__ = ["RankTolerance", "RowBasis", "DEFAULT_TOL", "matrix_rank", "row_basis", "in_row_span"]
 
 _EPS = float(np.finfo(np.float64).eps)
+# the smallest normal float64, 2**-1022.  Above it, factor * sigma rounds below
+# sigma for every factor below 1; at or below it the product can round up to
+# sigma itself (at 2**-1022 and factor 1 - 2**-53 it ties and rounds to even)
+_TINY = float(np.finfo(np.float64).tiny)
 _SHORT_SIDE_MIN_CELLS = 4096  # below this the QR costs more than it saves
 
 
@@ -98,39 +102,47 @@ def _short_side(A: np.ndarray) -> np.ndarray:
     return np.linalg.qr(A.T, mode="r").T
 
 
-class _Overflow(ArithmeticError):
-    """The largest singular value overflowed float64 although every entry is finite."""
+class _OutOfRange(ArithmeticError):
+    """The largest singular value overflowed float64 although every entry is
+    finite, or is so small that a relative threshold can round up to it."""
 
 
-def _rank(B: np.ndarray, shape: tuple[int, int], tol: RankTolerance, exp: int = 0) -> int:
+def _rank(B: np.ndarray, shape: tuple[int, int], tol: RankTolerance, exp: int | None = None) -> int:
     """Singular values of B counted against the threshold of a ``shape`` matrix,
-    B being the reduced matrix scaled down by ``2**exp``."""
+    B being the reduced matrix scaled down by ``2**exp``.  With no ``exp`` B
+    is unscaled, and a largest singular value that overflows, or under a
+    relative tolerance is at most 2**-1022, raises :class:`_OutOfRange` so
+    that the caller can rescale."""
     try:
         s = np.linalg.svd(B, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         if not np.isfinite(B).all():
-            raise _Overflow from exc
+            raise _OutOfRange from exc
         raise NumericError(f"SVD failed on {shape[0]}x{shape[1]} matrix") from exc
     if s.size == 0 or s[0] == 0.0:
         return 0
     sigma_max = float(s[0])
-    if not math.isfinite(sigma_max):
-        raise _Overflow
+    small = tol.mode == "relative" and sigma_max <= _TINY
+    if exp is None and (small or not math.isfinite(sigma_max)):
+        raise _OutOfRange
     threshold = tol.threshold(shape, sigma_max)
     if exp and tol.mode == "absolute":  # a relative threshold scales with B, an absolute one does not
-        threshold = math.ldexp(threshold, -exp)
+        threshold = math.ldexp(threshold, -exp)  # exp > 0 here: only an overflow rescales
     return int(np.count_nonzero(s > threshold))
 
 
 def _reduce(A: np.ndarray, tol: RankTolerance) -> tuple[np.ndarray, int, int]:
     """The short-side factor of A, its rank, and the power of two it was scaled
-    down by.  The power is 0 unless a singular value of A overflows float64;
-    then A is scaled by the exact power of two that brings its largest entry
-    into [0.5, 1) and factored again, so finite input keeps its bits."""
+    down by.  The power is 0 unless the largest singular value of A overflows
+    float64 or, under a relative tolerance, is at most 2**-1022; then A is
+    scaled by the exact power of two that brings its largest entry into
+    [0.5, 1) and factored again, so finite input keeps its bits and a
+    relative factor below 1 keeps its threshold below ``sigma_max``.  An
+    absolute threshold is compared with A's own singular values at any scale."""
     try:
         B = _short_side(A)
         return B, _rank(B, A.shape, tol), 0
-    except _Overflow:
+    except _OutOfRange:
         exp = int(np.frexp(np.max(np.abs(A)))[1])
         B = _short_side(np.ldexp(A, -exp))
         return B, _rank(B, A.shape, tol, exp), exp
@@ -142,22 +154,15 @@ def _shape_rank(shape: tuple[int, int], tol: RankTolerance) -> int | None:
 
     A matrix with one row or one column has a single singular value sigma,
     and under a relative tolerance it is counted iff sigma > fl(factor *
-    sigma).  For factor <= 1/2 the rounded product is below sigma for every
-    positive sigma, subnormal ones included (half of the smallest subnormal
-    rounds to 0), so the rank is 1; for factor >= 1 it is at least sigma, so
-    the rank is 0.  The SVD's sigma of a nonzero vector is positive, and a
-    sigma that overflows is rescaled exactly (see :func:`_reduce`), so these
-    are the SVD path's answers.  An absolute threshold, or a factor strictly
-    between 1/2 and 1, needs sigma itself.
+    sigma).  The SVD path rescales a matrix whose sigma overflows or is at
+    most 2**-1022 (see :func:`_reduce`), so the sigma it counts is above
+    2**-1022, where the rounded product is below sigma for every factor below
+    1 and at least sigma for every factor from 1 on.  So the rank is 1 for a
+    factor below 1 and 0 otherwise.  An absolute threshold needs sigma itself.
     """
     if tol.mode != "relative" or min(shape) != 1:
         return None
-    factor = tol._factor(shape)
-    if factor <= 0.5:
-        return 1
-    if factor >= 1.0:
-        return 0
-    return None
+    return 1 if tol._factor(shape) < 1.0 else 0
 
 
 def matrix_rank(M, tol: RankTolerance = DEFAULT_TOL) -> int:

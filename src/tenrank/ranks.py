@@ -84,13 +84,17 @@ class RankFunction:
     given shape, used to prune brute-force subtensor enumeration.
 
     Evaluators must be pure; results are memoised per instance.  The memo
-    keeps the evaluated tensors alive, so it is emptied whenever their
-    entries would take more than ``_CACHE_BYTES``: 8 MiB, room for 2^20
-    tensors of one entry and for far fewer of the larger tensors that a
-    subtensor search builds.
+    keeps the evaluated tensors alive, so it is emptied whenever they would
+    take more than ``_CACHE_BYTES``: 8 MiB, counted as each tensor's entries
+    plus ``_ENTRY_BYTES`` for the objects around them, room for about 25,000
+    tensors of one entry and for fewer of the larger tensors that a subtensor
+    search builds.
     """
 
     _CACHE_BYTES = 1 << 23
+    # the DenseTensor, ndarray header, cached hash and dict slot of one memo
+    # entry: about 300 B of resident memory per one-entry tensor, measured
+    _ENTRY_BYTES = 320
     # (rule, tol) when the value is rule(n_rank(x, tol)); see min_rank
     _nrank_rule: tuple[Callable[[NRank], int], RankTolerance] | None = None
 
@@ -113,10 +117,11 @@ class RankFunction:
         if hit is not None:
             return hit
         value = int(self.evaluator(x))
-        self._cache_bytes += x.data.nbytes
+        cost = x.data.nbytes + self._ENTRY_BYTES
+        self._cache_bytes += cost
         if self._cache_bytes > self._CACHE_BYTES:
             self._cache.clear()
-            self._cache_bytes = x.data.nbytes
+            self._cache_bytes = cost
         self._cache[x] = value
         return value
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "r,mode1_cap,method,relative_error,elapsed_ms"
+FIT_TOL = 1e-8  # HOOI stops once the fit moves less than this in one sweep
 
 
 @dataclass
@@ -80,10 +81,12 @@ def _leading_factor(matrix: np.ndarray, r: int) -> np.ndarray:
     return u[:, :r]
 
 
-def _compress(x: DenseTensor, factors: Sequence[np.ndarray]) -> DenseTensor:
+def _compress(x: DenseTensor, factors: Sequence[np.ndarray], skip: int | None = None) -> DenseTensor:
+    """x times every factor's transpose in its mode, in mode order, except mode ``skip``."""
     core = x
     for j, f in enumerate(factors, start=1):
-        core = mode_product(core, f.T, j)
+        if j != skip:
+            core = mode_product(core, f.T, j)
     return core
 
 
@@ -148,14 +151,13 @@ def hooi(
     x: DenseTensor,
     ranks: Sequence[int],
     max_iters: int = 100,
-    fit_tol: float = 1e-8,
 ) -> TuckerModel:
     """Alternating refinement of the ST-HOSVD initialization.
 
     Each sweep recomputes every factor from the tensor compressed in all
     other modes, which never decreases the captured core norm, so the error
     history is non-increasing.  Stops when the fit (core norm over tensor
-    norm) moves less than ``fit_tol``.
+    norm) moves less than ``FIT_TOL``.
     """
     ranks = _validate_ranks(x, ranks)
     init = st_hosvd(x, ranks)
@@ -168,15 +170,11 @@ def hooi(
     iterations = 0
     for _ in range(max_iters):
         for j in range(1, x.order + 1):
-            partial = x
-            for l, f in enumerate(factors, start=1):
-                if l != j:
-                    partial = mode_product(partial, f.T, l)
-            factors[j - 1] = _leading_factor(unfold(partial, j), ranks[j - 1])
+            factors[j - 1] = _leading_factor(unfold(_compress(x, factors, skip=j), j), ranks[j - 1])
         iterations += 1
         new_fit = frobenius_norm(_compress(x, factors)) / norm_x
         history.append(float(np.sqrt(max(0.0, 1.0 - new_fit**2))))
-        if abs(new_fit - fit) < fit_tol:
+        if abs(new_fit - fit) < FIT_TOL:
             break
         fit = new_fit
     return _finish(x, factors, "hooi", iterations, history[:-1])

@@ -53,7 +53,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def full_battery():
     start = perf_counter()
-    fixtures = standard_fixtures(seed=0, random_count=200, max_dim=6, random_pairs=100)
+    fixtures = standard_fixtures(seed=0, random_count=200, random_pairs=100)
     report_max = axiom_report(max_tucker(), fixtures)
     report_sub = axiom_report(submax_tucker(), fixtures)
     elapsed = perf_counter() - start

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from tenrank import axiom_report, max_tucker, min_rank, standard_fixtures, submax_tucker
-from tenrank.axioms import AXIOMS, write_report
+from tenrank import DEFAULT_TOL, axiom_report, max_tucker, min_rank, standard_fixtures, submax_tucker
+from tenrank.axioms import AXIOMS, EXTRAS, PROPERTIES, _check, write_report
 from tenrank.generators import block_pair
 from tenrank.ranks import _submax
-from tenrank import n_rank, submax_tucker_rank
+from tenrank import RankFunction, max_tucker_rank, n_rank, submax_tucker_rank
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,20 @@ def test_min_rank_passes_axioms(fixtures):
     assert report.result("strongly_proper").passed
 
 
+def test_properties_run_in_report_order(max_report):
+    assert tuple(PROPERTIES) == AXIOMS + EXTRAS
+    assert [r.name for r in max_report.results] == list(PROPERTIES)
+
+
+def test_a_failing_property_evaluates_nothing_past_its_counterexample(fixtures):
+    seen = []
+    rf = RankFunction("constant_two", lambda x: seen.append(x) or 2)
+    result = _check("P1", PROPERTIES["P1"](rf, fixtures, DEFAULT_TOL))
+    # the third fixture is the first zero tensor, where rank 2 fails P1
+    assert (result.passed, result.checks, result.witness_name) == (False, 3, fixtures.tensors[2].name)
+    assert seen == [f.tensor for f in fixtures.tensors[:3]]
+
+
 def test_report_serialization(tmp_path, max_report):
     out = tmp_path / "report.json"
     doc = write_report(max_report, out, witness_dir=tmp_path / "witness")
@@ -141,3 +155,37 @@ def test_reports_match_the_frozen_seed_101_documents():
     fx = standard_fixtures(seed=101)
     rfs = (max_tucker(), submax_tucker(), min_rank(max_tucker(), submax_tucker()))
     assert [write_report(axiom_report(rf, fx), None) for rf in rfs] == frozen
+
+
+# Negative controls: evaluators that are not rank functions.  Between them
+# they fail each of the nine properties at least once at seed 101.
+NEGATIVE_CONTROLS = {
+    "constant_two": lambda x: 2,
+    "max_plus_one": lambda x: max_tucker_rank(x) + 1,
+    "sign_of_first_entry": lambda x: max_tucker_rank(x) + int(x.data.flat[0] < 0),
+    "mode_1_rank": lambda x: n_rank(x).ranks[0],
+    "small_plus_one": lambda x: 0 if x.is_zero() else max_tucker_rank(x) + int(x.size < 4),
+    "max_squared": lambda x: max_tucker_rank(x) ** 2,
+}
+
+
+def negative_control_documents(witness_dir):
+    """write_report documents of the negative controls at seed 101, with each
+    witness file named relative to witness_dir, and the witness files' text."""
+    fx = standard_fixtures(seed=101)
+    docs = []
+    for name, evaluator in NEGATIVE_CONTROLS.items():
+        doc = write_report(axiom_report(RankFunction(name, evaluator), fx), None, witness_dir)
+        for row in doc["results"]:
+            for key in [k for k in row if k.startswith("witness_file")]:
+                row[key] = Path(row[key]).name
+        docs.append(doc)
+    witnesses = {p.name: p.read_text() for p in sorted(Path(witness_dir).glob("*.tns"))}
+    return {"reports": docs, "witnesses": witnesses}
+
+
+def test_negative_controls_match_the_frozen_seed_101_documents(tmp_path):
+    frozen = json.loads((Path(__file__).parent / "data" / "axiom_negative_controls_seed101.json").read_text())
+    assert negative_control_documents(tmp_path) == frozen
+    failed = {row["property"] for doc in frozen["reports"] for row in doc["results"] if row["status"] == "fail"}
+    assert failed == set(AXIOMS + EXTRAS)

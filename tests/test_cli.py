@@ -10,7 +10,7 @@ import pytest
 
 import tenrank
 from tenrank import max_tucker_rank, n_rank, read_tensor, scale, write_tensor
-from tenrank.cli import main
+from tenrank.cli import GENERATORS, main
 from tenrank.generators import tucker_structured
 
 
@@ -62,6 +62,17 @@ def test_gen_block_pair_writes_two_files(tmp_path, capsys):
     assert code == 0
     assert read_tensor(y).shape == (8, 8, 8)
     assert read_tensor(z).shape == (8, 8, 8)
+
+
+@pytest.mark.parametrize("kind", list(GENERATORS))
+def test_every_gen_kind_writes_what_it_prints(tmp_path, capsys, kind):
+    out = tmp_path / "t.tns"
+    code, stdout, _ = run(
+        capsys, "gen", kind, "--out", str(out), "--shape", "6", "3", "3", "--core", "2", "2", "1", "--m", "3", "--n", "2"
+    )
+    paths = [out, tmp_path / "t_z.tns"] if kind == "block-pair" else [out]
+    assert (code, stdout) == (0, "wrote " + " and ".join(map(str, paths)) + "\n")
+    assert all(read_tensor(p).size > 0 for p in paths)
 
 
 def test_fullrank_fast_and_brute_agree(tmp_path, capsys):

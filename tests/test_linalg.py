@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenrank import RankTolerance, RowBasis, in_row_span, matrix_rank, row_basis
+from tenrank import DenseTensor, RankTolerance, RowBasis, identity_tensor, in_row_span, matrix_rank, n_rank, row_basis
+from tenrank.linalg import _reduce
 
 
 def exact_rank(M):
@@ -312,9 +313,14 @@ def test_matrix_rank_matches_the_plain_svd_count(shape, seed, zeros, k, tol):
 
 @pytest.mark.parametrize("v", [[5e-324], [0.0, 1e-310, 0.0], [1e308, -1e308, 1e308], [2.0, -3.0]])
 def test_vector_rank_needs_no_svd(monkeypatch, v):
-    expected = {  # the SVD path's answers, taken before it is switched off
-        (tol, shape): plain_svd_rank(np.reshape(v, shape), tol)
-        for tol in (RankTolerance(), RankTolerance("relative", 0.5), RankTolerance("relative", 1.0))
+    expected = {  # the SVD path's answers, rescale included, taken before it is switched off
+        (tol, shape): _reduce(np.reshape(v, shape), tol)[1]
+        for tol in (
+            RankTolerance(),
+            RankTolerance("relative", 0.5),
+            RankTolerance("relative", 0.75),
+            RankTolerance("relative", 1.0),
+        )
         for shape in [(1, -1), (-1, 1)]
     }
     assert {r for (tol, _), r in expected.items() if tol.value != 1.0} == {1}
@@ -328,9 +334,31 @@ def test_vector_rank_needs_no_svd(monkeypatch, v):
         assert matrix_rank(np.reshape(v, shape), tol) == r
         assert matrix_rank(np.zeros_like(np.reshape(v, shape)), tol) == 0
     monkeypatch.undo()
-    # absolute tolerances and factors strictly between 1/2 and 1 need sigma itself
-    for tol in (RankTolerance("absolute", 1.0), RankTolerance("relative", 0.75)):
-        assert matrix_rank(np.reshape(v, (1, -1)), tol) == plain_svd_rank(np.reshape(v, (1, -1)), tol)
+    # absolute tolerances need sigma itself
+    tol = RankTolerance("absolute", 1.0)
+    assert matrix_rank(np.reshape(v, (1, -1)), tol) == plain_svd_rank(np.reshape(v, (1, -1)), tol)
+
+
+def test_subnormal_sigma_max_keeps_rank_under_factors_below_one():
+    # unscaled, fl(factor * sigma) rounds up to sigma and every one of these gives rank 0
+    assert matrix_rank([[5e-324]], RankTolerance("relative", 0.6)) == 1
+    assert matrix_rank([[1e-323]], RankTolerance("relative", 0.9)) == 1
+    assert matrix_rank(1e-323 * np.eye(2), RankTolerance("relative", 0.9)) == 2
+    # sigma = 2**-1022 is normal, but the product lands among the subnormals
+    # and rounds up to sigma at the largest factor below 1
+    M = 2.0**-1022 * np.eye(2)
+    assert matrix_rank(M, RankTolerance("relative", 1 - 2.0**-53)) == 2
+    assert matrix_rank(M, RankTolerance("relative", 1.0)) == 0
+    assert row_basis(M, RankTolerance("relative", 1 - 2.0**-53)) == RowBasis((1, 2), 2)
+    x = DenseTensor(5e-324 * identity_tensor(3, 2).data)
+    assert n_rank(x, RankTolerance("relative", 0.6)).ranks == (2, 2, 2)
+
+
+def test_absolute_thresholds_see_a_subnormal_matrix_unscaled():
+    M = 1e-323 * np.eye(2)
+    for t, r in [(0.5, 0), (1e-323, 0), (5e-324, 2), (0.0, 2)]:
+        assert matrix_rank(M, RankTolerance("absolute", t)) == plain_svd_rank(M, RankTolerance("absolute", t)) == r
+        assert row_basis(M, RankTolerance("absolute", t)).rank == r
 
 
 def test_vector_whose_norm_overflows_has_rank_one():

@@ -1,4 +1,6 @@
 """n-rank and the max/submax scalar rank functions."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,4 +237,21 @@ def test_memo_stays_within_its_byte_budget_on_a_budget_length_search():
         extract_brute_force(rf, tucker_structured((8, 8, 8, 8), (8, 8, 1, 1), seed=0))
     assert sum(evaluated) > 2 * budget  # the search would overflow an unbounded memo
     assert max(seen + [rf._cache_bytes]) <= budget
-    assert rf._cache_bytes == sum(t.data.nbytes for t in rf._cache)
+    assert rf._cache_bytes == sum(t.data.nbytes + rf._ENTRY_BYTES for t in rf._cache)
+
+
+def test_memo_of_one_entry_tensors_stays_within_its_byte_budget():
+    # each entry keeps far more than its 8 data bytes alive; the memo counts that too
+    rf = RankFunction("one", lambda x: 1)
+    rf._CACHE_BYTES = budget = 1 << 20
+    values = np.arange(1.0, 3 * budget / rf._ENTRY_BYTES).tolist()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for v in values:
+            rf(DenseTensor([[v]]))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(values) > 2 * len(rf._cache)  # the memo was emptied on the way
+    assert peak <= budget
