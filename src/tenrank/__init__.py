@@ -28,7 +28,7 @@ from .ranks import (
     submax_tucker,
     submax_tucker_rank,
 )
-from .cp import CpBounds, cp_als, cp_bounds, cp_reconstruct
+from .cp import CpBounds, cp_bounds, cp_reconstruct
 from .axioms import AxiomReport, FixtureSet, axiom_report, standard_fixtures, write_report
 from .fullrank import (
     FullRankCertificate,

@@ -14,7 +14,7 @@ from . import generators as gen
 from .axioms import axiom_report, standard_fixtures, write_report
 from .errors import CapacityError, FormatError, NumericError
 from .fullrank import DEFAULT_CAP, closure_eval, extract_brute_force, extract_max_tucker
-from .io import read_tensor, write_tensor
+from .io import read_tensor, read_utf8, write_tensor
 from .linalg import RankTolerance
 from .ranks import max_tucker, n_rank, submax_tucker
 from .tensor import identity_tensor
@@ -217,21 +217,31 @@ def _cmd_tucker(args) -> int:
     return EXIT_OK
 
 
+def _read_sweep_config(path) -> SweepConfig:
+    try:
+        raw = json.loads(read_utf8(path))
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply") from exc
+    if not isinstance(raw, dict):
+        raise FormatError(f"{path}: sweep config must be a JSON object")
+    unknown = sorted(set(raw) - set(SweepConfig.__dataclass_fields__))
+    if unknown:
+        raise FormatError(f"{path}: unknown field {unknown[0]!r}")
+    # fields left out keep SweepConfig's defaults; lists become tuples as in the defaults
+    config = SweepConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return config
+
+
 def _cmd_sweep(args) -> int:
-    if args.config:
-        raw = json.loads(Path(args.config).read_text())
-        if not isinstance(raw, dict):
-            raise FormatError(f"{args.config}: sweep config must be a JSON object")
-        # fields left out keep SweepConfig's defaults; lists become tuples as in the defaults
-        config = SweepConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise FormatError(f"{args.config}: {exc}") from exc
-    else:
-        config = default_sweep_config()
+    config = _read_sweep_config(args.config) if args.config else default_sweep_config()
     if args.input:
         source = read_tensor(args.input)
+        if source.shape != config.shape:
+            raise FormatError(f"{args.input}: shape {source.shape} is not the sweep's shape {config.shape}")
     else:
         try:
             source = generate_sweep_source(config)

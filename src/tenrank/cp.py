@@ -1,9 +1,9 @@
-"""CP (canonical polyadic) rank bounds via alternating least squares.
+"""CP (canonical polyadic) rank bounds that are exact at the rank tolerance.
 
-The exact CP rank is not computed anywhere in the package: the lower bound
-comes from the unfolding ranks, the upper bound from the smallest number of
-rank-one terms an ALS fit (or a user-supplied factor certificate) can
-demonstrate.  An absent upper bound is reported, never guessed.
+A real 2x2x2 tensor with negative Cayley hyperdeterminant has CP rank 3
+(ten Berge 1991; de Silva and Lim 2008) although every unfolding rank is 2,
+so the CP rank is not proper.  An unknown upper bound is reported, never
+guessed.
 """
 from __future__ import annotations
 
@@ -17,9 +17,12 @@ from .linalg import DEFAULT_TOL, RankTolerance
 from .ranks import n_rank
 from .tensor import DenseTensor, frobenius_norm
 
-__all__ = ["CpBounds", "cp_reconstruct", "cp_als", "cp_bounds"]
+__all__ = [
+    "CERTIFICATE_TOL", "CpBounds", "cp_bounds", "cp_reconstruct", "cp_residual", "hyperdeterminant_sign"
+]
 
 _LETTERS = string.ascii_lowercase[:25]  # 'z' reserved for the rank axis
+CERTIFICATE_TOL = 1e-8  # a certificate counts once its relative residual is below this
 
 
 @dataclass(frozen=True)
@@ -52,82 +55,51 @@ def cp_residual(x: DenseTensor, factors: Sequence[np.ndarray]) -> float:
     return frobenius_norm(cp_reconstruct(factors) - x) / frobenius_norm(x)
 
 
-def cp_als(
-    x: DenseTensor,
-    rank: int,
-    max_iter: int = 400,
-    stall_tol: float = 1e-10,
-    seed: int = 0,
-) -> tuple[list[np.ndarray], float]:
-    """One ALS run from a seeded random start; returns factors and residual."""
-    if rank < 1:
-        raise ValueError("CP rank must be >= 1")
-    rng = np.random.default_rng(seed)
-    m = x.order
-    factors = [rng.standard_normal((n, rank)) for n in x.shape]
-    modes = _LETTERS[:m]
-    last = np.inf
-    residual = np.inf
-    for _ in range(max_iter):
-        for j in range(m):
-            gram = np.ones((rank, rank))
-            for l in range(m):
-                if l != j:
-                    gram *= factors[l].T @ factors[l]
-            sub = (
-                modes
-                + ","
-                + ",".join(f"{modes[l]}z" for l in range(m) if l != j)
-                + f"->{modes[j]}z"
-            )
-            mttkrp = np.einsum(sub, x.data, *[factors[l] for l in range(m) if l != j], optimize=True)
-            factors[j] = np.linalg.lstsq(gram, mttkrp.T, rcond=None)[0].T
-        residual = cp_residual(x, factors)
-        if abs(last - residual) < stall_tol:
-            break
-        last = residual
-    return factors, residual
+def hyperdeterminant_sign(a: np.ndarray) -> int:
+    """Exact sign (-1, 0 or 1) of the Cayley hyperdeterminant of a 2x2x2 array,
+    read from its eight entries in row-major order.
+
+    With frontal slices A and B, the hyperdeterminant is the discriminant of
+    the binary quadratic form det(sA + tB): (det(A+B) - det A - det B)^2 -
+    4 det A det B.  Every float64 is an integer over a power of two, so one
+    common power-of-two scaling turns the entries into integers, and this
+    degree-4 polynomial keeps its sign under that scaling.
+    """
+    ratios = [float(v).as_integer_ratio() for v in a.reshape(-1)]
+    common = max(d for _, d in ratios)
+    a000, a001, a010, a011, a100, a101, a110, a111 = (n * (common // d) for n, d in ratios)
+    mixed = a000 * a111 + a001 * a110 - a010 * a101 - a011 * a100
+    delta = mixed * mixed - 4 * (a000 * a110 - a010 * a100) * (a001 * a111 - a011 * a101)
+    return (delta > 0) - (delta < 0)
 
 
 def cp_bounds(
     x: DenseTensor,
     tol: RankTolerance = DEFAULT_TOL,
-    max_rank: int | None = None,
-    restarts: int = 2,
-    fit_tol: float = 1e-8,
-    max_iter: int = 400,
-    seed: int = 0,
     certificate: Sequence[np.ndarray] | None = None,
 ) -> CpBounds:
-    """Bracket the CP rank.
+    """Bracket the CP rank with bounds that are exact at ``tol``.
 
-    The lower bound is the largest unfolding rank (always valid).  The upper
-    bound is heuristic: the smallest candidate rank ``r <= max_rank`` at which
-    some ALS restart reaches a relative residual below ``fit_tol``, or the
-    width of a ``certificate`` factor set that reproduces x to the same
-    accuracy.  No success means an unknown upper bound.
+    * When at most two unfolding ranks exceed 1, x is a matrix times vectors
+      in the other modes, and its CP rank is that matrix's rank, the largest
+      unfolding rank.  This covers zero, rank-one and order-2 tensors.
+    * On the other 2x2x2 tensors, singleton modes allowed, the sign of the
+      hyperdeterminant decides: rank 2 if positive, 3 if negative, and 2 or
+      3 if zero, since no real 2x2x2 tensor has rank above 3.
+    * Where the upper bound is not yet exact, a ``certificate`` factor set
+      that reproduces x to ``CERTIFICATE_TOL`` bounds the rank by its width.
+      Without one, the upper bound of any other tensor is unknown.
     """
     if x.order < 2:
         raise ValueError("CP bounds need order >= 2")
-    if x.is_zero():
-        return CpBounds(lower=0, upper=0)
-    lower = n_rank(x, tol).max_rank
-    budget = max_rank if max_rank is not None else lower + 2
+    ranks = n_rank(x, tol).ranks
+    lower = max(ranks)
     upper: int | None = None
-    if certificate is not None:
+    if sum(r > 1 for r in ranks) <= 2:
+        upper = lower
+    elif [n for n in x.shape if n > 1] == [2, 2, 2]:  # singleton modes leave the entry order
+        lower, upper = {-1: (3, 3), 0: (2, 3), 1: (2, 2)}[hyperdeterminant_sign(x.data)]
+    if certificate is not None and upper != lower and cp_residual(x, certificate) < CERTIFICATE_TOL:
         width = int(np.asarray(certificate[0]).shape[1])
-        if cp_residual(x, certificate) < fit_tol:
-            upper = width
-    for r in range(max(lower, 1), budget + 1):
-        if upper is not None and r >= upper:
-            break
-        fitted = False
-        for attempt in range(restarts):
-            _, residual = cp_als(x, r, max_iter=max_iter, seed=seed + 977 * attempt + r)
-            if residual < fit_tol:
-                fitted = True
-                break
-        if fitted:
-            upper = r
-            break
+        upper = width if upper is None else min(upper, width)
     return CpBounds(lower=lower, upper=upper)

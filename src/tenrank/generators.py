@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL
 from .ranks import n_rank
-from .tensor import DenseTensor, fold, mode_product, outer_product
+from .tensor import DenseTensor, fold, mode_products, outer_product
 
 __all__ = [
     "zero_tensor",
@@ -83,20 +83,19 @@ def tucker_structured(shape, core_shape, seed: int = 0) -> DenseTensor:
     """Random core multiplied by random orthonormal factors in every mode."""
     rng = np.random.default_rng(seed)
     core = DenseTensor(rng.standard_normal(tuple(int(r) for r in core_shape)))
-    x = core
-    for j, (n, r) in enumerate(zip(shape, core_shape), start=1):
-        q, _ = np.linalg.qr(rng.standard_normal((int(n), int(r))))
-        x = mode_product(x, q, j)
-    return x
+    factors = [np.linalg.qr(rng.standard_normal((int(n), int(r))))[0] for n, r in zip(shape, core_shape)]
+    return mode_products(core, factors)
 
 
 def _block_with_ranks(dims, target_ranks, rng) -> DenseTensor:
     """Integer-valued tensor with the exact unfolding-rank profile asked for."""
     for _ in range(64):
-        x = DenseTensor(rng.integers(-2, 3, size=tuple(target_ranks)).astype(np.float64))
-        for j, (n, r) in enumerate(zip(dims, target_ranks), start=1):
-            f = rng.integers(-2, 3, size=(int(n), int(r))).astype(np.float64)
-            x = mode_product(x, f, j)
+        core = DenseTensor(rng.integers(-2, 3, size=tuple(target_ranks)).astype(np.float64))
+        factors = [
+            rng.integers(-2, 3, size=(int(n), int(r))).astype(np.float64)
+            for n, r in zip(dims, target_ranks)
+        ]
+        x = mode_products(core, factors)
         if n_rank(x, DEFAULT_TOL).ranks == tuple(target_ranks):
             return x
     raise RuntimeError(f"could not realize unfolding ranks {target_ranks} in dims {dims}")
@@ -137,10 +136,8 @@ def planted_tucker(
     shape = tuple(int(n) for n in shape)
     core_shape = tuple(int(r) for r in core_shape)
     core = DenseTensor(np.abs(rng.standard_normal(core_shape)))
-    signal = core
-    for j, (n, r) in enumerate(zip(shape, core_shape), start=1):
-        q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-        signal = mode_product(signal, np.abs(q), j)
+    factors = [np.abs(np.linalg.qr(rng.standard_normal((n, r)))[0]) for n, r in zip(shape, core_shape)]
+    signal = mode_products(core, factors)
     power = float(np.mean(signal.data**2))
     noise_sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     noisy = signal.data + noise_sigma * rng.standard_normal(shape)

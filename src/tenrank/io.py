@@ -35,9 +35,17 @@ def write_text(x: DenseTensor, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_utf8(path) -> str:
+    """A text file's contents; one that is not UTF-8 is a FormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def read_text(path) -> DenseTensor:
     tokens: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    for line in read_utf8(path).splitlines():
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     if not tokens:
@@ -61,6 +69,8 @@ def _assemble(path, shape, value_tokens) -> DenseTensor:
     if any(n < 1 for n in shape):
         raise FormatError(f"{path}: shape entries must be >= 1, got {shape}")
     expected = math.prod(shape)
+    if expected.bit_length() > 1024:  # also keeps str(expected) within int-to-str's digit limit
+        raise FormatError(f"{path}: shape {shape} has more than 2^1024 entries")
     if len(value_tokens) != expected:
         raise FormatError(
             f"{path}: expected {expected} values for shape {shape}, found {len(value_tokens)}"
@@ -89,11 +99,13 @@ def read_binary(path) -> DenseTensor:
         raise FormatError(f"{path}: missing TNS1 magic")
     try:
         (order,) = struct.unpack_from("<Q", raw, 4)
+        if order < 1:
+            raise FormatError(f"{path}: order must be >= 1, got {order}")
         shape = struct.unpack_from(f"<{order}Q", raw, 12)
     except struct.error as exc:
         raise FormatError(f"{path}: truncated binary tensor") from exc
     offset = 12 + 8 * order
-    count = math.prod(shape) if order else 0
+    count = math.prod(shape)
     if len(raw) != offset + 8 * count:
         raise FormatError(f"{path}: size mismatch for shape {shape}")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)

@@ -29,6 +29,7 @@ __all__ = [
     "unfold",
     "fold",
     "mode_product",
+    "mode_products",
     "scale",
     "add",
     "frobenius_norm",
@@ -290,6 +291,14 @@ def mode_product(x: DenseTensor, matrix, mode: int) -> DenseTensor:
         )
     new_shape = x.shape[:j] + (A.shape[0],) + x.shape[j + 1 :]
     return fold(A @ unfold(x, mode), mode, new_shape)
+
+
+def mode_products(x: DenseTensor, matrices: Sequence, skip: int | None = None) -> DenseTensor:
+    """x times ``matrices[j-1]`` in every mode j, in mode order, except mode ``skip``."""
+    for j, A in enumerate(matrices, start=1):
+        if j != skip:
+            x = mode_product(x, A, j)
+    return x
 
 
 def scale(x: DenseTensor, alpha: float) -> DenseTensor:

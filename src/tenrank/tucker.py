@@ -21,7 +21,7 @@ import numpy as np
 
 from .generators import planted_tucker
 from .linalg import _short_side
-from .tensor import DenseTensor, frobenius_norm, mode_product, unfold
+from .tensor import DenseTensor, frobenius_norm, mode_product, mode_products, unfold
 
 __all__ = [
     "TuckerModel",
@@ -82,23 +82,12 @@ def _leading_factor(matrix: np.ndarray, r: int) -> np.ndarray:
 
 
 def _compress(x: DenseTensor, factors: Sequence[np.ndarray], skip: int | None = None) -> DenseTensor:
-    """x times every factor's transpose in its mode, in mode order, except mode ``skip``."""
-    core = x
-    for j, f in enumerate(factors, start=1):
-        if j != skip:
-            core = mode_product(core, f.T, j)
-    return core
-
-
-def _expand(core: DenseTensor, factors: Sequence[np.ndarray]) -> DenseTensor:
-    x = core
-    for j, f in enumerate(factors, start=1):
-        x = mode_product(x, f, j)
-    return x
+    """x times every factor's transpose in its mode, except mode ``skip``."""
+    return mode_products(x, [f.T for f in factors], skip)
 
 
 def reconstruct(model: TuckerModel) -> DenseTensor:
-    return _expand(model.core, model.factors)
+    return mode_products(model.core, model.factors)
 
 
 def relative_error(xhat: DenseTensor, x: DenseTensor) -> float:
@@ -116,7 +105,7 @@ def _finish(x, factors, method, iterations, history) -> TuckerModel:
     if x.is_zero():
         err = 0.0
     else:
-        err = relative_error(_expand(core, factors), x)
+        err = relative_error(mode_products(core, factors), x)
     return TuckerModel(core, list(factors), method, iterations, err, history + [err])
 
 

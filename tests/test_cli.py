@@ -1,6 +1,7 @@
 """CLI behaviour: verb outputs, exit codes, reproducibility, smoke parity."""
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -266,3 +267,36 @@ def test_sweep_config_rejects_bad_source_fields(tmp_path, capsys, config):
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {cfg}: ")
     assert not out.exists()
+
+
+def _one_error_line(code, out, err, path):
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+
+
+def test_sweep_config_unknown_field_names_file_and_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"foo": 1}')
+    code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv"))
+    _one_error_line(code, out, err, cfg)
+    assert "'foo'" in err
+
+
+def test_text_tensor_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    f = tmp_path / "bad.tns"
+    f.write_bytes(b"\xff\xfe1\n2\n1 2\n")
+    code, out, err = run(capsys, "nrank", str(f))
+    _one_error_line(code, out, err, f)
+    assert "not UTF-8" in err
+
+
+def test_binary_tensor_of_order_zero_is_rejected_like_text(tmp_path, capsys):
+    b = tmp_path / "zero.bin"
+    b.write_bytes(b"TNS1" + struct.pack("<Q", 0))
+    code, out, err = run(capsys, "nrank", str(b))
+    _one_error_line(code, out, err, b)
+    assert err.strip().endswith("order must be >= 1, got 0")
+    t = tmp_path / "zero.tns"
+    t.write_text("0\n")
+    assert run(capsys, "nrank", str(t))[2].strip().endswith("order must be >= 1, got 0")
