@@ -44,6 +44,7 @@ EXTRAS = ("proper", "strongly_proper", "subadditive")
 
 MAX_DIM = 6
 ORDERS = (2, 3, 4)
+RANDOM_PAIRS = 100
 SCALINGS = (-2.0, -1.0, 0.5, 3.0)
 PERMUTATIONS_PER_FIXTURE = 5
 SELECTIONS_PER_FIXTURE = 10
@@ -76,11 +77,7 @@ def _is_integer_valued(x: DenseTensor) -> bool:
     return bool(np.array_equal(x.data, np.round(x.data)))
 
 
-def standard_fixtures(
-    seed: int = 0,
-    random_count: int = 200,
-    random_pairs: int = 100,
-) -> FixtureSet:
+def standard_fixtures(seed: int = 0, random_count: int = 200) -> FixtureSet:
     """The default battery: reference counterexamples first (so they are the
     witnesses when a property fails), then zeros, rank-ones, identities,
     embedded matrices, and seeded random tensors."""
@@ -138,7 +135,7 @@ def standard_fixtures(
     y, z = gen.block_pair(seed=seed)
     pairs = [FixturePair("block_pair", y, z)]
     rng = np.random.default_rng((seed, 7))
-    for i in range(random_pairs):
+    for i in range(RANDOM_PAIRS):
         order = int(rng.choice(ORDERS))
         shape = tuple(int(d) for d in rng.integers(1, MAX_DIM + 1, size=order))
         pairs.append(

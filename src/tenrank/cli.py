@@ -13,7 +13,7 @@ from pathlib import Path
 from . import generators as gen
 from .axioms import axiom_report, standard_fixtures, write_report
 from .errors import CapacityError, FormatError, NumericError
-from .fullrank import DEFAULT_CAP, closure_eval, extract_brute_force, extract_max_tucker
+from .fullrank import closure_eval, extract_brute_force, extract_max_tucker
 from .io import read_tensor, read_utf8, write_tensor
 from .linalg import RankTolerance
 from .ranks import max_tucker, n_rank, submax_tucker
@@ -103,14 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--fn", choices=RANK_FUNCTIONS, default="max")
     p.add_argument("--brute", action="store_true", help="use the enumeration oracle")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--out-subtensor", help="write the extracted subtensor here")
     _add_tol_flags(p)
 
     p = sub.add_parser("closure", help="closure value of a rank function")
     p.add_argument("file")
     p.add_argument("--fn", choices=RANK_FUNCTIONS, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_tol_flags(p)
 
     p = sub.add_parser("axioms", help="run the rank-function axiom battery")
@@ -126,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, nargs="+", required=True)
     p.add_argument("--method", choices=METHODS, default="hosvd")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--max-iters", type=int, default=100)
 
     p = sub.add_parser("sweep", help="run the (r, mode-1 cap) error sweep")
     p.add_argument("--config", help="JSON config file (defaults to the built-in grid)")
@@ -169,7 +166,7 @@ def _cmd_fullrank(args) -> int:
     x = read_tensor(args.file)
     rf = RANK_FUNCTIONS[args.fn](tol)
     if args.brute:
-        sub, cert = extract_brute_force(rf, x, cap=args.cap)
+        sub, cert = extract_brute_force(rf, x)
     elif args.fn == "max":
         sub, cert = extract_max_tucker(x, tol)
     else:
@@ -187,7 +184,7 @@ def _cmd_closure(args) -> int:
     tol = _tolerance(args)
     x = read_tensor(args.file)
     rf = RANK_FUNCTIONS[args.fn](tol)
-    print(f"closure_{rf.name}={closure_eval(rf, x, cap=args.cap)}")
+    print(f"closure_{rf.name}={closure_eval(rf, x)}")
     print(f"tol: {tol.describe()}", file=sys.stderr)
     return EXIT_OK
 
@@ -210,8 +207,7 @@ def _cmd_axioms(args) -> int:
 
 def _cmd_tucker(args) -> int:
     x = read_tensor(args.file)
-    options = {"max_iters": args.max_iters} if args.method == "hooi" else {}
-    model = METHODS[args.method](x, args.ranks, **options)
+    model = METHODS[args.method](x, args.ranks)
     save_model(model, args.outdir)
     print(f"wrote {args.outdir} (relative_error={model.relative_error!r})")
     return EXIT_OK
@@ -220,6 +216,8 @@ def _cmd_tucker(args) -> int:
 def _read_sweep_config(path) -> SweepConfig:
     try:
         raw = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise FormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(raw, dict):
@@ -270,7 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (FormatError, OSError, json.JSONDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except CapacityError as exc:

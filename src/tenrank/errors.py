@@ -10,7 +10,7 @@ class FormatError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Brute-force enumeration refused: input exceeds the configured size cap."""
+    """Brute-force enumeration refused: input exceeds a fixed size limit or the search budget."""
 
 
 class NumericError(RuntimeError):

@@ -32,7 +32,10 @@ __all__ = [
     "verify_span_certificate",
 ]
 
-DEFAULT_CAP = 4096
+# Tensors one brute-force search accepts.  The entry limit bounds _band's
+# set-up, which keeps at most one shape per entry in a band; the dimension
+# limit bounds the 2^n subsets per mode.
+MAX_ENTRIES = 4096
 MAX_MODE_DIM = 8
 # Subtensors one brute-force search may examine, zero ones included.  It
 # exceeds the 29,791 selections of a 5x5x5 tensor, so every search of that
@@ -203,12 +206,9 @@ def iter_selections(shape):
             yield IndexSelection(combo)
 
 
-def _check_capacity(x: DenseTensor, cap: int) -> None:
-    if x.size > cap:
-        raise CapacityError(
-            f"tensor has {x.size} entries, enumeration cap is {cap}; "
-            "raise the cap only for small dimensions"
-        )
+def _check_capacity(x: DenseTensor) -> None:
+    if x.size > MAX_ENTRIES:
+        raise CapacityError(f"tensor has {x.size} entries, enumeration limit is {MAX_ENTRIES}")
     if max(x.shape) > MAX_MODE_DIM:
         raise CapacityError(
             f"mode dimension {max(x.shape)} exceeds enumeration limit {MAX_MODE_DIM} "
@@ -226,9 +226,7 @@ def _survivors(shapes, bound, floor: int, bounds: dict):
             yield k
 
 
-def extract_brute_force(
-    rf: RankFunction, x: DenseTensor, cap: int = DEFAULT_CAP
-) -> tuple[DenseTensor, FullRankCertificate]:
+def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRankCertificate]:
     """Maximum full-rank subtensor under an arbitrary proper rank function,
     found by searching the subtensors in the deterministic order of
     :func:`iter_selections`.
@@ -251,11 +249,12 @@ def extract_brute_force(
     rank 0 never beats the best.
 
     Each call examines at most ``SEARCH_BUDGET`` subtensors; past that it
-    raises :class:`CapacityError`, on top of the entry and dimension caps.
+    raises :class:`CapacityError`, as it does for a tensor of more than
+    ``MAX_ENTRIES`` entries or a mode dimension above ``MAX_MODE_DIM``.
     A rank function that leaves some nonzero tensor with no full-rank
     subtensor is not proper and raises :class:`NoFullRankError`.
     """
-    _check_capacity(x, cap)
+    _check_capacity(x)
     if x.is_zero():
         return _zero_certificate(x)
     ceiling = rf(x)
@@ -308,14 +307,14 @@ def extract_brute_force(
     return best_tensor, best
 
 
-def closure_eval(rf: RankFunction, x: DenseTensor, cap: int = DEFAULT_CAP) -> int:
+def closure_eval(rf: RankFunction, x: DenseTensor) -> int:
     """The closure value: max of rf over all full-rank subtensors of x."""
-    _, cert = extract_brute_force(rf, x, cap)
+    _, cert = extract_brute_force(rf, x)
     return cert.rank
 
 
-def closure_rank_function(rf: RankFunction, cap: int = DEFAULT_CAP) -> RankFunction:
-    """Wrap the closure of rf as a rank function (domain capped by size).
+def closure_rank_function(rf: RankFunction) -> RankFunction:
+    """Wrap the closure of rf as a rank function (domain limited by size).
 
     The closure of a proper rank function is proper, never exceeds rf, and
     taking it twice changes nothing.
@@ -323,7 +322,7 @@ def closure_rank_function(rf: RankFunction, cap: int = DEFAULT_CAP) -> RankFunct
     declared = {"proper"} | (rf.declared_properties & {"strongly_proper"})
     return RankFunction(
         f"closure({rf.name})",
-        lambda x: closure_eval(rf, x, cap),
+        lambda x: closure_eval(rf, x),
         declared_properties=declared,
         shape_bound=rf.shape_bound,
     )

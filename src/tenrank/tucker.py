@@ -43,6 +43,7 @@ __all__ = [
 
 CSV_HEADER = "r,mode1_cap,method,relative_error,elapsed_ms"
 FIT_TOL = 1e-8  # HOOI stops once the fit moves less than this in one sweep
+MAX_ITERS = 100  # or after this many sweeps
 
 
 @dataclass
@@ -100,8 +101,8 @@ def relative_error(xhat: DenseTensor, x: DenseTensor) -> float:
     return frobenius_norm(xhat - x) / denom
 
 
-def _finish(x, factors, method, iterations, history) -> TuckerModel:
-    core = _compress(x, factors)
+def _finish(x, core, factors, method, iterations, history) -> TuckerModel:
+    """The model of x with the given factors and the core they compress x to."""
     if x.is_zero():
         err = 0.0
     else:
@@ -113,60 +114,48 @@ def hosvd(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
     """Truncated higher-order SVD: every factor from the original tensor."""
     ranks = _validate_ranks(x, ranks)
     factors = [_leading_factor(unfold(x, j), r) for j, r in enumerate(ranks, start=1)]
-    return _finish(x, factors, "hosvd", 0, [])
+    return _finish(x, _compress(x, factors), factors, "hosvd", 0, [])
 
 
-def st_hosvd(
-    x: DenseTensor, ranks: Sequence[int], order: Sequence[int] | None = None
-) -> TuckerModel:
-    """Sequentially truncated HOSVD: each mode is truncated on the tensor
-    already compressed in the previously processed modes."""
+def st_hosvd(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
+    """Sequentially truncated HOSVD: each mode, in mode order, is truncated
+    on the tensor already compressed in the modes before it."""
     ranks = _validate_ranks(x, ranks)
-    if order is None:
-        order = range(1, x.order + 1)
-    order = tuple(int(j) for j in order)
-    if sorted(order) != list(range(1, x.order + 1)):
-        raise ValueError(f"{order} is not an ordering of modes 1..{x.order}")
     partial = x
-    factors: list[np.ndarray | None] = [None] * x.order
-    for j in order:
-        f = _leading_factor(unfold(partial, j), ranks[j - 1])
-        factors[j - 1] = f
+    factors = []
+    for j, r in enumerate(ranks, start=1):
+        f = _leading_factor(unfold(partial, j), r)
+        factors.append(f)
         partial = mode_product(partial, f.T, j)
-    return _finish(x, factors, "st_hosvd", 0, [])
+    return _finish(x, partial, factors, "st_hosvd", 0, [])
 
 
-def hooi(
-    x: DenseTensor,
-    ranks: Sequence[int],
-    max_iters: int = 100,
-) -> TuckerModel:
+def hooi(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
     """Alternating refinement of the ST-HOSVD initialization.
 
     Each sweep recomputes every factor from the tensor compressed in all
     other modes, which never decreases the captured core norm, so the error
     history is non-increasing.  Stops when the fit (core norm over tensor
-    norm) moves less than ``FIT_TOL``.
+    norm) moves less than ``FIT_TOL``, or after ``MAX_ITERS`` sweeps.
     """
     ranks = _validate_ranks(x, ranks)
     init = st_hosvd(x, ranks)
     factors = list(init.factors)
-    if x.is_zero() or max_iters == 0:
-        return _finish(x, factors, "hooi", 0, [])
+    if x.is_zero():
+        return _finish(x, init.core, factors, "hooi", 0, [])
     norm_x = frobenius_norm(x)
     history = [init.relative_error]
     fit = frobenius_norm(init.core) / norm_x
-    iterations = 0
-    for _ in range(max_iters):
+    for iterations in range(1, MAX_ITERS + 1):
         for j in range(1, x.order + 1):
             factors[j - 1] = _leading_factor(unfold(_compress(x, factors, skip=j), j), ranks[j - 1])
-        iterations += 1
-        new_fit = frobenius_norm(_compress(x, factors)) / norm_x
+        core = _compress(x, factors)
+        new_fit = frobenius_norm(core) / norm_x
         history.append(float(np.sqrt(max(0.0, 1.0 - new_fit**2))))
         if abs(new_fit - fit) < FIT_TOL:
             break
         fit = new_fit
-    return _finish(x, factors, "hooi", iterations, history[:-1])
+    return _finish(x, core, factors, "hooi", iterations, history[:-1])
 
 
 def save_model(model: TuckerModel, outdir) -> None:

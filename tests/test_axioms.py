@@ -17,7 +17,7 @@ from tenrank import RankFunction, max_tucker_rank, n_rank, submax_tucker_rank
 
 @pytest.fixture(scope="module")
 def fixtures():
-    return standard_fixtures(seed=0, random_count=60, random_pairs=30)
+    return standard_fixtures(seed=0, random_count=60)
 
 
 @pytest.fixture(scope="module")

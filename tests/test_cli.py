@@ -209,6 +209,10 @@ def test_exit_code_capacity(tmp_path, capsys):
     f = tmp_path / "big.tns"
     run(capsys, "gen", "random", "--shape", "9", "9", "--seed", "0", "--out", str(f))
     assert run(capsys, "fullrank", str(f), "--brute")[0] == 4
+    run(capsys, "gen", "zero", "--shape", "8", "8", "8", "8", "2", "--out", str(f))
+    code, out, err = run(capsys, "fullrank", str(f), "--brute")
+    assert (code, out) == (4, "")
+    assert err == "capacity error: tensor has 8192 entries, enumeration limit is 4096\n"
 
 
 def test_exit_code_usage(tmp_path, capsys):
@@ -217,6 +221,15 @@ def test_exit_code_usage(tmp_path, capsys):
     assert exc.value.code == 2
     code, _, _ = run(capsys, "gen", "random", "--out", str(tmp_path / "x.tns"))
     assert code == 2  # missing --shape
+    # the search's entry limit and HOOI's sweep cap are constants, not flags
+    for argv in (
+        ["fullrank", "x.tns", "--brute", "--cap", "10"],
+        ["closure", "x.tns", "--fn", "max", "--cap", "10"],
+        ["tucker", "x.tns", "--ranks", "1", "--method", "hooi", "--outdir", "m", "--max-iters", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_rank_survives_an_overflowing_singular_value(tmp_path, capsys):
@@ -281,6 +294,14 @@ def test_sweep_config_unknown_field_names_file_and_field(tmp_path, capsys):
     code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv"))
     _one_error_line(code, out, err, cfg)
     assert "'foo'" in err
+
+
+def test_malformed_sweep_config_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"shape": [3,2,2],}')
+    code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv"))
+    _one_error_line(code, out, err, cfg)
+    assert "line 1 column 19" in err
 
 
 def test_text_tensor_that_is_not_utf8_names_the_file(tmp_path, capsys):

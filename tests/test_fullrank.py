@@ -202,8 +202,8 @@ def test_submax_closure_gap_search():
 def test_capacity_errors():
     with pytest.raises(CapacityError):  # mode dimension above the enumeration limit
         extract_brute_force(max_tucker(), DenseTensor(np.ones((9, 2))))
-    with pytest.raises(CapacityError):  # entry count above the cap
-        closure_eval(max_tucker(), DenseTensor(np.ones((2, 2, 2))), cap=4)
+    with pytest.raises(CapacityError):  # 8,192 entries, above MAX_ENTRIES
+        closure_eval(max_tucker(), DenseTensor(np.ones((8, 8, 8, 8, 2))))
 
 
 def test_certificate_json_round_trip():

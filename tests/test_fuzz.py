@@ -1,7 +1,8 @@
 """Fuzzing the two .tns readers and the sweep config parser.
 
 Whatever the bytes, a reader returns a DenseTensor or raises FormatError or
-OSError, and the CLI exits 0 or 3 with exactly one ``error:`` line.
+OSError, and the CLI exits 0 or 3 with exactly one ``error:`` line, which
+names one of the files it was given.
 """
 import json
 import struct
@@ -74,20 +75,22 @@ def test_read_tensor_returns_a_tensor_or_a_format_error(tmp_path, data):
     assert isinstance(x, DenseTensor)
 
 
-def _exits_cleanly(capsys, argv):
+def _exits_cleanly(capsys, argv, *paths):
     code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 3), err
     if code == 3:
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert any(err.startswith(f"error: {path}: ") for path in paths), err
     return code
 
 
 @FUZZ
 @given(data=tensor_files)
 def test_nrank_exits_0_or_3(tmp_path, capsys, data):
-    _exits_cleanly(capsys, ["nrank", str(_write(tmp_path, "f.tns", data))])
+    path = _write(tmp_path, "f.tns", data)
+    _exits_cleanly(capsys, ["nrank", str(path)], path)
 
 
 @FUZZ
@@ -96,13 +99,14 @@ def test_nrank_exits_0_or_3(tmp_path, capsys, data):
 @example(data=b"\xff\xfe{}")
 @example(data=b"[" * 5000 + b"]" * 5000)
 @example(data=CONFIG.replace(b"[2, 1, 2]", b"[3, 1, 2]", 1))
+@example(data=b'{"shape": [3,2,2],}')
 def test_sweep_config_exits_0_or_3(tmp_path, capsys, data):
     tiny = tmp_path / "tiny.tns"
     write_tensor(read_tensor(_write(tmp_path, "seed.tns", TEXT)), tiny)
     cfg = _write(tmp_path, "cfg.json", data)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(cfg), "--input", str(tiny), "--out", str(out), "--no-timing"]
-    if _exits_cleanly(capsys, argv) == 3:
+    if _exits_cleanly(capsys, argv, cfg, tiny) == 3:
         assert not out.exists()
     out.unlink(missing_ok=True)
 
@@ -112,4 +116,4 @@ def test_the_config_seed_sweeps(tmp_path, capsys):
     write_tensor(read_tensor(_write(tmp_path, "seed.tns", TEXT)), tiny)
     cfg = _write(tmp_path, "cfg.json", CONFIG)
     argv = ["sweep", "--config", str(cfg), "--input", str(tiny), "--out", str(tmp_path / "o.csv")]
-    assert _exits_cleanly(capsys, argv) == 0
+    assert _exits_cleanly(capsys, argv, cfg, tiny) == 0
