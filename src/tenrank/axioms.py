@@ -81,6 +81,8 @@ def standard_fixtures(seed: int = 0, random_count: int = 200) -> FixtureSet:
     """The default battery: reference counterexamples first (so they are the
     witnesses when a property fails), then zeros, rank-ones, identities,
     embedded matrices, and seeded random tensors."""
+    if random_count < 0:
+        raise ValueError(f"random fixture count {random_count} is negative")
     fixtures: list[Fixture] = [
         Fixture("counterexample_3x2x2", gen.counterexample_3x2x2(), "counterexample", True),
         Fixture("counterexample_2x3x4", gen.counterexample_2x3x4(), "counterexample", True),

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property check failed, 2 usage error, 3 I/O or
-parse error, 4 enumeration capacity exceeded, 5 numeric failure.
+parse error, 4 enumeration capacity or memory exceeded, 5 numeric failure.
 """
 from __future__ import annotations
 
@@ -271,8 +271,8 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:  # numpy names the allocation it refused
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

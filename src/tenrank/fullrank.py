@@ -32,7 +32,7 @@ __all__ = [
     "verify_span_certificate",
 ]
 
-# Tensors one brute-force search accepts.  The entry limit bounds _band's
+# Tensors one brute-force search accepts.  The entry limit bounds _reach's
 # set-up, which keeps at most one shape per entry in a band; the dimension
 # limit bounds the 2^n subsets per mode.
 MAX_ENTRIES = 4096
@@ -151,49 +151,55 @@ def _mode_subsets(n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((s, len(s)) for s in subsets)
 
 
-def _prefixes(shapes) -> set[tuple[int, ...]]:
-    """Every leading run of sizes of the given kept shapes, whole shapes included."""
-    return {k[:j] for k in shapes for j in range(1, len(k) + 1)}
-
-
 @functools.lru_cache(maxsize=256)
-def _band(shape: tuple[int, ...], d: int):
-    """The kept shapes of band d (every k with k_j <= n_j and max(k) == d)
-    and the prefixes of them all."""
-    shapes = tuple(
+def _band(shape: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
+    """The kept shapes of band d: every k with k_j <= n_j and max(k) == d."""
+    return tuple(
         k
         for k in itertools.product(*(range(1, min(n, d) + 1) for n in shape))
         if max(k) == d
     )
-    return shapes, frozenset(_prefixes(shapes))
 
 
-def _walk_band(shape: tuple[int, ...], d: int, live, enter=None):
-    """Per-mode index tuples of band d in lexicographic order, restricted to
-    kept shapes whose every prefix of sizes is in ``live``.
+def _reach(shape: tuple[int, ...], d: int, bound) -> dict[tuple[int, ...], int]:
+    """Every leading run of sizes of a band-d shape, whole shapes included,
+    mapped to the largest ``bound`` of the shapes it leads to (d if None)."""
+    reach: dict[tuple[int, ...], int] = {}
+    for k in _band(shape, d):
+        b = d if bound is None else bound(k)
+        for j in range(1, len(k) + 1):
+            if reach.get(k[:j], -1) < b:
+                reach[k[:j]] = b
+    return reach
 
-    ``live`` is read at every step, so the caller may shrink it between
-    yields and the rest of the walk honours the smaller set at once.
-    ``enter``, if given, is called with the index tuples chosen for the
-    first modes before the walk goes on to the next mode, and every
-    selection extending them is skipped when it returns False.
+
+def _walk_band(shape: tuple[int, ...], d: int, enter):
+    """Per-mode index tuples of band d in lexicographic order, restricted by
+    the entry test ``enter(sizes, chosen)``.
+
+    Each step that can still lead to a band-d shape asks the test with the
+    sizes chosen so far and a list whose first ``len(sizes)`` items are the
+    chosen subsets; on False, every selection extending them is skipped.  A
+    caller may tighten the test between yields; the walk honours it at once.
     """
     order = len(shape)
     capped = [_mode_subsets(n, d) for n in shape]
+    room = [any(n >= d for n in shape[j + 1 :]) for j in range(order)]  # a later mode can keep d
     chosen: list[tuple[int, ...]] = [()] * order
 
-    def expand(j, prefix):
-        last = j + 1 == order
+    def expand(j, prefix, has_d):
         for s, k in capped[j]:
+            if not (has_d or k == d or room[j]):
+                continue
             sizes = prefix + (k,)
-            if sizes in live:
-                chosen[j] = s
-                if last:
+            chosen[j] = s
+            if enter(sizes, chosen):
+                if j + 1 == order:
                     yield tuple(chosen)
-                elif enter is None or enter(chosen[: j + 1]):
-                    yield from expand(j + 1, sizes)
+                else:
+                    yield from expand(j + 1, sizes, has_d or k == d)
 
-    return expand(0, ())
+    return expand(0, (), False)
 
 
 def iter_selections(shape):
@@ -202,7 +208,7 @@ def iter_selections(shape):
     deterministic enumeration order)."""
     shape = tuple(shape)
     for d in range(max(shape), 0, -1):
-        for combo in _walk_band(shape, d, _band(shape, d)[1]):
+        for combo in _walk_band(shape, d, lambda sizes, chosen: True):
             yield IndexSelection(combo)
 
 
@@ -216,37 +222,24 @@ def _check_capacity(x: DenseTensor) -> None:
         )
 
 
-def _survivors(shapes, bound, floor: int, bounds: dict):
-    """The shapes whose bound exceeds ``floor``; each bound is computed once."""
-    for k in shapes:
-        b = bounds.get(k)
-        if b is None:
-            b = bounds[k] = bound(k)
-        if b > floor:
-            yield k
-
-
 def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRankCertificate]:
     """Maximum full-rank subtensor under an arbitrary proper rank function,
     found by searching the subtensors in the deterministic order of
     :func:`iter_selections`.
 
-    The search walks kept shapes (k_1, ..., k_N), not selections.  Shapes
-    come in bands of decreasing largest dimension d; within a band the
-    selections are expanded mode by mode in lexicographic subset order, and
-    a subset is entered only if its prefix of sizes still leads to a shape
-    that can beat the best value found so far.  A shape can beat it only if
-    its ``shape_bound`` exceeds it and d exceeds it, so the surviving shapes
-    are recomputed whenever the best improves, and once the best reaches d
-    (the band stop) or rf(x) (no subtensor exceeds rf(x), by axiom P6) the
-    search returns.  Every selection left out is one that a plain walk of
-    :func:`iter_selections` with the same two tests would skip, and the
-    order is unchanged with ties never reordered, so the certificate is the
-    first selection in the documented order that attains the best value.
-
-    Once a best value exists, a selection whose first modes pick out an
-    all-zero slab of x is not entered: every subtensor under it is zero, and
-    rank 0 never beats the best.
+    Shapes come in bands of decreasing largest kept dimension d; within a
+    band the selections are expanded mode by mode in lexicographic subset
+    order, and each step asks one entry test.  Before a best value exists it
+    enters everything; after, a subset is entered only if the ``reach`` of
+    its leading run of sizes exceeds the best: the largest ``shape_bound``
+    of the band's shapes the run leads to (d if the rank function has none).
+    A subset of a non-final mode is also refused when, with the subsets
+    before it, it picks out an all-zero slab of x: every subtensor under it
+    is zero, and rank 0 never beats the best.  The search returns once the
+    best reaches d (the band stop) or rf(x) (no subtensor exceeds rf(x), by
+    axiom P6).  Every selection left out cannot beat the best, and the order
+    is unchanged with ties never reordered, so the certificate is the first
+    selection in the documented order that attains the best value.
 
     Each call examines at most ``SEARCH_BUDGET`` subtensors; past that it
     raises :class:`CapacityError`, as it does for a tensor of more than
@@ -258,26 +251,27 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
     if x.is_zero():
         return _zero_certificate(x)
     ceiling = rf(x)
-    bound = rf.shape_bound
-    bounds: dict[tuple[int, ...], int] = {}
-    best: FullRankCertificate | None = None
-    best_tensor: DenseTensor | None = None
+    found: tuple[DenseTensor, FullRankCertificate] | None = None  # the best so far
+    floor = -1  # its value, -1 before the first
+    has_zero = not x.data.all()  # no zero entry, no zero slab
     examined = 0
 
-    def nonzero_slab(prefix) -> bool:
-        grid = np.ix_(*[np.asarray(s, dtype=np.intp) - 1 for s in prefix])
-        return best is None or bool(x.data[grid].any())
+    def enter(sizes, chosen) -> bool:
+        if floor < 0:
+            return True  # any subtensor beats none
+        if reach[sizes] <= floor:
+            return False
+        j = len(sizes)
+        if not has_zero or j == x.order:
+            return True
+        grid = np.ix_(*[np.asarray(s, dtype=np.intp) - 1 for s in chosen[:j]])
+        return bool(x.data[grid].any())
 
-    enter = None if x.data.all() else nonzero_slab  # no zero entry, no zero slab
     for d in range(max(x.shape), 0, -1):
-        if best is not None and best.rank >= d:
+        if floor >= d:
             break  # band stop: no shape left has a dimension above the best
-        shapes, prefixes = _band(x.shape, d)
-        if bound is None or best is None:
-            live = set(prefixes)
-        else:
-            live = _prefixes(_survivors(shapes, bound, best.rank, bounds))
-        for combo in _walk_band(x.shape, d, live, enter):
+        reach = _reach(x.shape, d, rf.shape_bound) if found else None  # built once a best exists
+        for combo in _walk_band(x.shape, d, enter):
             examined += 1
             if examined > SEARCH_BUDGET:
                 raise CapacityError(
@@ -290,21 +284,19 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
             if not full:
                 continue
             r = y.shape[mode - 1] if mode is not None else 0
-            if best is None or r > best.rank:
+            if r > floor:
                 indices = sel.indices[mode - 1] if mode is not None else ()
-                best = FullRankCertificate(mode, indices, r, sel)
-                best_tensor = y
+                found, floor = (y, FullRankCertificate(mode, indices, r, sel)), r
                 if r == ceiling or r >= d:
-                    return best_tensor, best
-                if bound is not None:
-                    live.clear()
-                    live.update(_prefixes(_survivors(shapes, bound, r, bounds)))
-    if best is None:
+                    return found
+                if reach is None:
+                    reach = _reach(x.shape, d, rf.shape_bound)
+    if found is None:
         raise NoFullRankError(
             f"{rf.name} leaves no subtensor of a tensor of shape {x.shape} of full "
             "rank, so it is not a proper rank function"
         )
-    return best_tensor, best
+    return found
 
 
 def closure_eval(rf: RankFunction, x: DenseTensor) -> int:

@@ -48,6 +48,8 @@ def random_tensor(shape, seed: int = 0, integer: bool = False) -> DenseTensor:
 
 def random_rank_one(shape, seed: int = 0, integer: bool = False) -> DenseTensor:
     """Outer product of random nonzero vectors."""
+    if any(int(n) < 1 for n in shape):  # no nonzero vector has length 0
+        raise ValueError(f"shape entries must be >= 1, got {tuple(shape)}")
     rng = np.random.default_rng(seed)
     vectors = []
     for n in shape:
@@ -135,6 +137,10 @@ def planted_tucker(
     rng = np.random.default_rng(seed)
     shape = tuple(int(n) for n in shape)
     core_shape = tuple(int(r) for r in core_shape)
+    if len(core_shape) != len(shape):
+        raise ValueError(f"core_shape {core_shape} has {len(core_shape)} sizes, shape {shape} has {len(shape)}")
+    if any(c > n for c, n in zip(core_shape, shape)):
+        raise ValueError(f"core_shape {core_shape} does not fit in shape {shape}")
     core = DenseTensor(np.abs(rng.standard_normal(core_shape)))
     factors = [np.abs(np.linalg.qr(rng.standard_normal((n, r)))[0]) for n, r in zip(shape, core_shape)]
     signal = mode_products(core, factors)

@@ -135,38 +135,31 @@ def _unfolding_bounds(shape: tuple[int, ...]) -> list[int]:
 
 
 def _from_n_rank(
-    name: str,
-    rule: Callable[[NRank], int],
-    tol: RankTolerance,
-    declared_properties: Iterable[str],
-    shape_bound: Callable[[tuple[int, ...]], int] | None,
+    name: str, rule: Callable[[NRank], int], tol: RankTolerance, declared_properties: Iterable[str]
 ) -> RankFunction:
-    """The rank function x -> rule(n_rank(x, tol)), with its rule and tol kept."""
-    rf = RankFunction(name, lambda x: rule(n_rank(x, tol)), declared_properties, shape_bound)
+    """The rank function x -> rule(n_rank(x, tol)), with its rule and tol kept.
+
+    Its shape bound is the same rule on the largest unfolding ranks a shape
+    allows, which bounds the value when the rule is monotone in each rank.
+    """
+    rf = RankFunction(
+        name,
+        lambda x: rule(n_rank(x, tol)),
+        declared_properties,
+        lambda shape: rule(NRank(_unfolding_bounds(shape), tol)),
+    )
     rf._nrank_rule = (rule, tol)
     return rf
 
 
 def max_tucker(tol: RankTolerance = DEFAULT_TOL) -> RankFunction:
     """Max-Tucker rank: the largest unfolding rank.  Proper and subadditive."""
-    return _from_n_rank(
-        "max_tucker",
-        lambda nr: nr.max_rank,
-        tol,
-        ("proper", "subadditive"),
-        lambda shape: max(_unfolding_bounds(shape)),
-    )
+    return _from_n_rank("max_tucker", lambda nr: nr.max_rank, tol, ("proper", "subadditive"))
 
 
 def submax_tucker(tol: RankTolerance = DEFAULT_TOL) -> RankFunction:
     """Submax-Tucker rank: the second-largest unfolding rank.  Strongly proper."""
-    return _from_n_rank(
-        "submax_tucker",
-        lambda nr: nr.submax_rank,
-        tol,
-        ("proper", "strongly_proper"),
-        lambda shape: _submax(_unfolding_bounds(shape)),
-    )
+    return _from_n_rank("submax_tucker", lambda nr: nr.submax_rank, tol, ("proper", "strongly_proper"))
 
 
 def min_rank(r1: RankFunction, r2: RankFunction) -> RankFunction:
@@ -180,15 +173,15 @@ def min_rank(r1: RankFunction, r2: RankFunction) -> RankFunction:
     submax_tucker, or minima of them), the minimum is that rule on one
     n-rank: each argument's value is a function of the same n_rank(x, tol),
     so computing it once gives both values exactly.  Any other pair
-    evaluates both arguments.
+    evaluates both arguments, bounded by the smaller of their shape bounds.
     """
     declared = (r1.declared_properties | r2.declared_properties) & {"proper", "strongly_proper"}
+    name = f"min({r1.name},{r2.name})"
+    if r1._nrank_rule and r2._nrank_rule and r1._nrank_rule[1] == r2._nrank_rule[1]:
+        (rule1, tol), (rule2, _) = r1._nrank_rule, r2._nrank_rule
+        return _from_n_rank(name, lambda nr: min(rule1(nr), rule2(nr)), tol, declared)
     if r1.shape_bound and r2.shape_bound:
         bound = lambda shape: min(r1.shape_bound(shape), r2.shape_bound(shape))
     else:
         bound = r1.shape_bound or r2.shape_bound
-    name = f"min({r1.name},{r2.name})"
-    if r1._nrank_rule and r2._nrank_rule and r1._nrank_rule[1] == r2._nrank_rule[1]:
-        (rule1, tol), (rule2, _) = r1._nrank_rule, r2._nrank_rule
-        return _from_n_rank(name, lambda nr: min(rule1(nr), rule2(nr)), tol, declared, bound)
     return RankFunction(name, lambda x: min(r1(x), r2(x)), declared, bound)

@@ -276,8 +276,6 @@ def default_sweep_config() -> SweepConfig:
 
 def generate_sweep_source(config: SweepConfig) -> DenseTensor:
     """The planted-Tucker source the config describes; its core must fit its shape."""
-    if any(c > n for c, n in zip(config.core_shape, config.shape)):
-        raise ValueError(f"core_shape {config.core_shape} does not fit in shape {config.shape}")
     return planted_tucker(config.shape, config.core_shape, config.snr_db, config.seed)
 
 

@@ -261,6 +261,58 @@ def test_exit_code_capacity_from_the_search_budget(tmp_path, capsys, monkeypatch
     assert "search budget" in err
 
 
+def test_axioms_rejects_a_negative_count(capsys):
+    code, out, err = run(capsys, "axioms", "--fn", "max", "--count", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: random fixture count -3 is negative\n"
+
+
+def test_gen_rank1_rejects_a_zero_dimension(tmp_path):
+    # in a child process with a timeout, so a redraw loop that never ends fails the test
+    src = str(Path(tenrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "q.tns"
+    argv = [sys.executable, "-m", "tenrank.cli", "gen", "rank1", "--shape", "2", "0", "--out", str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: shape entries must be >= 1, got (2, 0)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "core, message",
+    [
+        ([], "core_shape (20, 4, 4) does not fit in shape (10, 4, 4)"),  # the default core
+        (["--core", "2", "2"], "core_shape (2, 2) has 2 sizes, shape (10, 4, 4) has 3"),
+    ],
+    ids=["default-core", "short-core"],
+)
+def test_gen_planted_tucker_names_a_core_that_does_not_fit(tmp_path, capsys, core, message):
+    out = tmp_path / "p.tns"
+    code, stdout, err = run(capsys, "gen", "planted-tucker", "--shape", "10", "4", "4", *core, "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 74.5 GiB for an array", "Unable to allocate 74.5 GiB for an array"),  # numpy's
+        ("", "out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_is_a_capacity_error(tmp_path, capsys, monkeypatch, message, line):
+    def refuse(shape):  # stands in for the allocation; nothing this large is ever asked for
+        raise MemoryError(message)
+
+    monkeypatch.setattr(tenrank.generators, "zero_tensor", refuse)
+    out = tmp_path / "z.tns"
+    code, stdout, err = run(capsys, "gen", "zero", "--shape", "100000", "100000", "--out", str(out))
+    assert (code, stdout, err) == (4, "", f"capacity error: {line}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config",
     [
