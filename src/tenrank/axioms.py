@@ -3,8 +3,11 @@
 The six core checks:
 
 * P1  rank 0 exactly on zero tensors; rank 1 on constructed rank-one tensors
-      (converse direction only on integer-valued fixtures, where numerical
-      and exact rank coincide);
+      (converse direction only on integer-valued fixtures: their numerical
+      and exact ranks coincide while the entries stay small, as the standard
+      set's entries up to 27 in magnitude do, but not in general: the
+      3x3x3 diagonal tensor diag(1e17, 1, 1) has exact n-rank (3, 3, 3) and
+      numerical n-rank (1, 1, 1));
 * P2  identity tensors of order m and dimension n evaluate to n;
 * P3  tensors with trailing singleton modes match the matrix rank;
 * P4  invariance under nonzero scaling;
@@ -14,18 +17,25 @@ The six core checks:
 Extras checked the same way: proper (cubic fixtures), strongly proper
 (second-largest dimension bound), subadditive (fixture pairs).  A failed
 check is data, not an error: the report records the first counterexample.
+
+Reports on one :class:`FixtureSet` share its work: each derived tensor (a
+P4 scaling, P5 permutation, P6 subtensor or pair sum) is built once, and
+each tensor's n-rank is computed once per tolerance for every rank function
+that is a rule on the n-rank.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import generators as gen
 from .linalg import DEFAULT_TOL, RankTolerance, matrix_rank
-from .ranks import RankFunction, n_rank, _submax
+from .ranks import NRank, RankFunction, n_rank, _submax
 from .tensor import DenseTensor, IndexSelection, add, identity_tensor, permute_modes, scale, subtensor
 
 __all__ = [
@@ -66,11 +76,49 @@ class FixturePair:
     y: DenseTensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixtureSet:
-    tensors: list[Fixture]
-    pairs: list[FixturePair]
+    """Fixtures and pairs, with what the battery derives from them kept.
+
+    The set is immutable, so nothing kept can go stale: a derived tensor is
+    built on its first request and n-ranks are memoised by tolerance, then
+    by tensor, as plain rank tuples.  Both live as long as the set.
+    """
+
+    tensors: tuple[Fixture, ...]
+    pairs: tuple[FixturePair, ...]
     seed: int
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _n_ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derived(self, key, makers):
+        """Yield, in order, the items that the makers from makers() make.
+
+        Each item is made on its first request and kept under key, as is
+        the end of the items.  makers() is called again only when the kept
+        items run out before their end, and the makers of kept items are
+        skipped uncalled, so a maker that raises raises on every request
+        that reaches it and nothing after it is made.
+        """
+        kept = self._derived.setdefault(key, [])
+        rest = None
+        for k in count():
+            if k == len(kept):
+                if rest is None:
+                    rest = islice(makers(), k, None)
+                make = next(rest, None)
+                kept.append(None if make is None else make())  # None marks the end
+            if kept[k] is None:
+                return
+            yield kept[k]
+
+    def unfolding_ranks(self, x: DenseTensor, tol: RankTolerance) -> tuple[int, ...]:
+        """n_rank(x, tol).ranks, computed once per tolerance and tensor."""
+        memo = self._n_ranks.setdefault(tol, {})
+        ranks = memo.get(x)
+        if ranks is None:
+            ranks = memo[x] = n_rank(x, tol).ranks
+        return ranks
 
 
 def _is_integer_valued(x: DenseTensor) -> bool:
@@ -147,7 +195,7 @@ def standard_fixtures(seed: int = 0, random_count: int = 200) -> FixtureSet:
                 gen.random_tensor(shape, seed=(seed, 9, i), integer=i % 3 == 0),
             )
         )
-    return FixtureSet(tensors=fixtures, pairs=pairs, seed=seed)
+    return FixtureSet(tensors=tuple(fixtures), pairs=tuple(pairs), seed=seed)
 
 
 def _tag(shape) -> str:
@@ -192,7 +240,7 @@ def _p1(rf, fx, tol):
             detail = "rank 0 on a nonzero tensor"
         elif f.kind == "rank1" and r != 1:
             detail = f"rank-one tensor got rank {r}"
-        elif r == 1 and f.integer_valued and any(v != 1 for v in n_rank(f.tensor, tol).ranks):
+        elif r == 1 and f.integer_valued and any(v != 1 for v in fx.unfolding_ranks(f.tensor, tol)):
             detail = "rank 1 on a non-rank-one tensor"
         else:
             detail = ""
@@ -216,21 +264,43 @@ def _p3(rf, fx, tol):
 
 
 def _p4(rf, fx, tol):
-    for f in fx.tensors:
+    for i, f in enumerate(fx.tensors):
         base = rf(f.tensor)
-        for alpha in SCALINGS:
-            r = rf(scale(f.tensor, alpha))
+        for alpha, t in zip(SCALINGS, fx.derived(("P4", i), partial(_scalings, f.tensor))):
+            r = rf(t)
             yield f.name, (f.tensor,), r != base and f"rank {base} became {r} under alpha={alpha}"
+
+
+def _scalings(x: DenseTensor):
+    """Makers of x scaled by each of SCALINGS."""
+    return (partial(scale, x, alpha) for alpha in SCALINGS)
 
 
 def _p5(rf, fx, tol):
     for i, f in enumerate(fx.tensors):
         base = rf(f.tensor)
-        rng = np.random.default_rng((fx.seed, 10, i))
-        for _ in range(PERMUTATIONS_PER_FIXTURE):
-            sigma = tuple(int(s) + 1 for s in rng.permutation(f.tensor.order))
-            r = rf(permute_modes(f.tensor, sigma))
+        for sigma, t in fx.derived(("P5", i), partial(_permutations, f.tensor, (fx.seed, 10, i))):
+            r = rf(t)
             yield f.name, (f.tensor,), r != base and f"rank {base} became {r} under {sigma}"
+
+
+def _permutations(x: DenseTensor, seed):
+    """Makers of (sigma, x with its modes permuted by sigma), sigma random."""
+    rng = np.random.default_rng(seed)
+    for _ in range(PERMUTATIONS_PER_FIXTURE):
+        sigma = tuple(int(s) + 1 for s in rng.permutation(x.order))
+        yield partial(_permuted, x, sigma)
+
+
+def _permuted(x: DenseTensor, sigma) -> tuple[tuple[int, ...], DenseTensor]:
+    return sigma, permute_modes(x, sigma)
+
+
+def _subtensors(x: DenseTensor, seed):
+    """Makers of random subtensors of x."""
+    rng = np.random.default_rng(seed)
+    for _ in range(SELECTIONS_PER_FIXTURE):
+        yield partial(subtensor, x, _random_selection(x.shape, rng))
 
 
 def _random_selection(shape, rng) -> IndexSelection:
@@ -244,9 +314,8 @@ def _random_selection(shape, rng) -> IndexSelection:
 def _p6(rf, fx, tol):
     for i, f in enumerate(fx.tensors):
         base = rf(f.tensor)
-        rng = np.random.default_rng((fx.seed, 11, i))
-        for _ in range(SELECTIONS_PER_FIXTURE):
-            r = rf(subtensor(f.tensor, _random_selection(f.tensor.shape, rng)))
+        for t in fx.derived(("P6", i), partial(_subtensors, f.tensor, (fx.seed, 11, i))):
+            r = rf(t)
             yield f.name, (f.tensor,), r > base and f"subtensor rank {r} exceeds {base}"
 
 
@@ -266,15 +335,16 @@ def _strongly_proper(rf, fx, tol):
 
 
 def _subadditive(rf, fx, tol):
-    for p in fx.pairs:
-        rx, ry, rsum = rf(p.x), rf(p.y), rf(add(p.x, p.y))
+    for j, p in enumerate(fx.pairs):
+        rx, ry = rf(p.x), rf(p.y)
+        rsum = rf(next(fx.derived(("sum", j), lambda: [partial(add, p.x, p.y)])))
         yield p.name, (p.x, p.y), rsum > rx + ry and f"rank(x+y)={rsum} > {rx}+{ry}"
 
 
-# property name -> cases(rf, fixtures, tol), in report order.  Each case is
-# one check: (fixture name, witness tensors, failure detail), the detail
+# property name -> cases(rf, fixtures, tol), in report order.  Each case
+# is one check: (fixture name, witness tensors, failure detail), the detail
 # falsy when the check passes.  Cases are generated lazily, so no property
-# evaluates rf past its first counterexample.
+# evaluates rf, or builds a derived tensor, past its first counterexample.
 PROPERTIES = {
     "P1": _p1,
     "P2": _p2,
@@ -305,8 +375,19 @@ def axiom_report(
 ) -> AxiomReport:
     """Run every check against the fixture set and collect per-property results."""
     fx = fixtures if fixtures is not None else standard_fixtures()
-    results = [_check(name, cases(rf, fx, tol)) for name, cases in PROPERTIES.items()]
+    shared = _shared_rank(rf, fx)
+    results = [_check(name, cases(shared, fx, tol)) for name, cases in PROPERTIES.items()]
     return AxiomReport(rank_function=rf.name, tol=tol, results=results)
+
+
+def _shared_rank(rf: RankFunction, fx: FixtureSet):
+    """rf as the battery evaluates it.  A rule on the n-rank reads the set's
+    memo, as :func:`min_rank` does, so every such function on the set shares
+    one n-rank per tensor and tolerance; anything else is rf itself."""
+    if rf._nrank_rule is None:
+        return rf
+    rule, tol = rf._nrank_rule
+    return lambda x: rule(NRank(fx.unfolding_ranks(x, tol), tol))
 
 
 def write_report(report: AxiomReport, json_path, witness_dir=None) -> dict:

@@ -267,6 +267,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's own message does not name the option
+            raise ValueError(f"--seed {args.seed} is negative")
         return _COMMANDS[args.verb](args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

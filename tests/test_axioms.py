@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from tenrank import DEFAULT_TOL, axiom_report, max_tucker, min_rank, standard_fixtures, submax_tucker
-from tenrank.axioms import AXIOMS, EXTRAS, PROPERTIES, _check, write_report
+from tenrank import axioms
+from tenrank.axioms import AXIOMS, EXTRAS, PROPERTIES, Fixture, FixturePair, FixtureSet, _check, write_report
+from tenrank.linalg import RankTolerance
+from tenrank.tensor import DenseTensor
 from tenrank.generators import block_pair
 from tenrank.ranks import _submax
 from tenrank import RankFunction, max_tucker_rank, n_rank, submax_tucker_rank
@@ -189,3 +192,78 @@ def test_negative_controls_match_the_frozen_seed_101_documents(tmp_path):
     assert negative_control_documents(tmp_path) == frozen
     failed = {row["property"] for doc in frozen["reports"] for row in doc["results"] if row["status"] == "fail"}
     assert failed == set(AXIOMS + EXTRAS)
+
+
+DERIVING = ("scale", "permute_modes", "subtensor", "add", "n_rank")
+
+
+def count_calls(monkeypatch, names=DERIVING):
+    """Wrap the axioms module's names with call counters; returns the counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(axioms, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(axioms, name, counted)
+    return counts
+
+
+def test_reports_on_one_set_build_each_derived_tensor_once(monkeypatch):
+    counts = count_calls(monkeypatch)
+    axiom_report(max_tucker(), standard_fixtures(seed=0, random_count=60))
+    single = dict(counts)
+    # max passes P4-P6 and subadditivity, so one report builds every derived tensor
+    fx = standard_fixtures(seed=0, random_count=60)
+    n, m = len(fx.tensors), len(fx.pairs)
+    assert [single[k] for k in DERIVING[:4]] == [4 * n, 5 * n, 10 * n, m]
+
+    counts.update(dict.fromkeys(DERIVING, 0))
+    axiom_report(max_tucker(), fx)
+    after_first = dict(counts)
+    axiom_report(submax_tucker(), fx)
+    axiom_report(min_rank(max_tucker(), submax_tucker()), fx)
+    assert counts == single
+    assert counts["n_rank"] == after_first["n_rank"]  # the second and third reports factor nothing
+
+
+def _documents(rfs, fx_for):
+    return [write_report(axiom_report(rf, fx_for()), None) for rf in rfs]
+
+
+def test_the_shared_memo_never_leaks_between_functions_or_tolerances():
+    def rank_functions():
+        return [
+            max_tucker(),
+            submax_tucker(),
+            min_rank(max_tucker(), submax_tucker()),
+            max_tucker(RankTolerance("absolute", 0.5)),
+            *(RankFunction(name, evaluator) for name, evaluator in NEGATIVE_CONTROLS.items()),
+        ]
+
+    fresh = _documents(rank_functions(), lambda: standard_fixtures(seed=0, random_count=30))
+    # the absolute cut changes the verdicts, so a memo shared across tolerances would show
+    assert fresh[3]["results"] != fresh[0]["results"]
+    shared = standard_fixtures(seed=0, random_count=30)
+    assert _documents(rank_functions(), lambda: shared) == fresh
+    shared = standard_fixtures(seed=0, random_count=30)
+    assert _documents(rank_functions()[::-1], lambda: shared) == fresh[::-1]
+
+
+def test_derived_tensors_past_a_counterexample_are_never_built():
+    # rank 1 exactly when the first entry exceeds 1.5.  P4 fails on [7e307]
+    # at alpha=-2.0, before its own scaling by 3.0 would overflow, and never
+    # reaches [1e308]; [1] + [1] fails subadditivity before [1e308] + [1e308]
+    rf = RankFunction("first_entry_above_1.5", lambda x: int(x.data.flat[0] > 1.5))
+    large, huge, one = DenseTensor([7e307]), DenseTensor([1e308]), DenseTensor([1.0])
+    fx = FixtureSet(
+        tensors=(Fixture("large", large, "random"), Fixture("huge", huge, "random")),
+        pairs=(FixturePair("ones", one, one), FixturePair("huges", huge, huge)),
+        seed=0,
+    )
+    for _ in range(2):  # the second report reads what the first one built
+        report = axiom_report(rf, fx)
+        p4, sub = report.result("P4"), report.result("subadditive")
+        assert (p4.passed, p4.checks, p4.witness_name) == (False, 1, "large")
+        assert p4.detail == "rank 1 became 0 under alpha=-2.0"
+        assert (sub.passed, sub.checks, sub.witness_name) == (False, 1, "ones")

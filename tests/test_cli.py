@@ -267,6 +267,22 @@ def test_axioms_rejects_a_negative_count(capsys):
     assert err == "error: random fixture count -3 is negative\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "random", "--shape", "3", "--seed", "-5", "--out", "q.tns"),
+        ("axioms", "--fn", "max", "--seed", "-1"),
+    ],
+    ids=["gen", "axioms"],
+)
+def test_a_negative_seed_is_named(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    seed = argv[argv.index("--seed") + 1]
+    assert (code, out, err) == (2, "", f"error: --seed {seed} is negative\n")
+    assert not (tmp_path / "q.tns").exists()
+
+
 def test_gen_rank1_rejects_a_zero_dimension(tmp_path):
     # in a child process with a timeout, so a redraw loop that never ends fails the test
     src = str(Path(tenrank.__file__).resolve().parents[1])
