@@ -36,6 +36,7 @@ from .fullrank import (
     closure_rank_function,
     extract_brute_force,
     extract_max_tucker,
+    extract_nrank,
     is_full_rank,
     verify_span_certificate,
 )

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import generators as gen
 from .axioms import axiom_report, standard_fixtures, write_report
 from .errors import CapacityError, FormatError, NumericError
-from .fullrank import closure_eval, extract_brute_force, extract_max_tucker
+from .fullrank import closure_eval, extract_brute_force, extract_nrank
 from .io import read_tensor, read_utf8, write_tensor
 from .linalg import RankTolerance
 from .ranks import max_tucker, n_rank, submax_tucker
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fullrank", help="extract a maximum full-rank subtensor")
     p.add_argument("file")
     p.add_argument("--fn", choices=RANK_FUNCTIONS, default="max")
-    p.add_argument("--brute", action="store_true", help="use the enumeration oracle")
+    p.add_argument("--brute", action="store_true", help="search the subtensors in the documented order (small tensors only) instead of extracting from a row basis")
     p.add_argument("--out-subtensor", help="write the extracted subtensor here")
     _add_tol_flags(p)
 
@@ -165,12 +165,7 @@ def _cmd_fullrank(args) -> int:
     tol = _tolerance(args)
     x = read_tensor(args.file)
     rf = RANK_FUNCTIONS[args.fn](tol)
-    if args.brute:
-        sub, cert = extract_brute_force(rf, x)
-    elif args.fn == "max":
-        sub, cert = extract_max_tucker(x, tol)
-    else:
-        raise ValueError("only --fn max has a fast path; use --brute for submax")
+    sub, cert = extract_brute_force(rf, x) if args.brute else extract_nrank(rf, x)
     doc = cert.to_json()
     doc["rank_function"] = rf.name
     doc["tolerance"] = tol.describe()

@@ -1,12 +1,14 @@
 """Full-rank subtensors: detection, constructive extraction, and closures.
 
 A tensor is of full rank under a rank function when its rank equals one of
-its dimensions (zero tensors count as full rank by convention).  For the
-max-Tucker rank a maximum full-rank subtensor can be extracted directly from
-a row basis of the dominant unfolding; for arbitrary proper rank functions
-the same object is found by a brute-force search over the subtensors in a
-fixed order, which also evaluates the closure (the best full-rank subtensor
-value).
+its dimensions (zero tensors count as full rank by convention).  For any
+rank function that picks one of the unfolding ranks (max-Tucker,
+submax-Tucker and their minimum) a maximum full-rank subtensor is extracted
+directly from a row basis of one unfolding attaining the value; the proof,
+in :func:`extract_nrank`, stands on its own, since the paper's abstract names
+only the max-Tucker case.  For arbitrary proper rank functions the same
+value is found by a brute-force search over the subtensors in a fixed order,
+which also evaluates the closure (the best full-rank subtensor value).
 """
 from __future__ import annotations
 
@@ -17,14 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, NoFullRankError
+from .errors import CapacityError, NoFullRankError, NumericError
 from .linalg import DEFAULT_TOL, RankTolerance, RowBasis, _reduce, _select_rows, in_row_span, matrix_rank
-from .ranks import RankFunction
+from .ranks import NRank, RankFunction, max_tucker, n_rank
 from .tensor import DenseTensor, IndexSelection, subtensor, unfold
 
 __all__ = [
     "FullRankCertificate",
     "is_full_rank",
+    "extract_nrank",
     "extract_max_tucker",
     "extract_brute_force",
     "closure_eval",
@@ -92,40 +95,63 @@ def _zero_certificate(x: DenseTensor) -> tuple[DenseTensor, FullRankCertificate]
     return subtensor(x, sel), FullRankCertificate(None, (), 0, sel)
 
 
-def extract_max_tucker(
-    x: DenseTensor, tol: RankTolerance = DEFAULT_TOL
-) -> tuple[DenseTensor, FullRankCertificate]:
-    """Maximum full-rank subtensor under the max-Tucker rank.
+def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRankCertificate]:
+    """Maximum full-rank subtensor under a rank function whose value is one of
+    the unfolding ranks: max_tucker, submax_tucker, or a min_rank of them.
 
-    Picks the first mode attaining the largest unfolding rank r, keeps a row
-    basis of that unfolding (r mode-p slices) and all other modes in full.
-    The result has max-Tucker rank r, equal to that of x.  Each unfolding is
-    factored once: the row basis reuses the reduction that gave mode p its
-    rank.
+    It keeps a row basis of the first mode-q unfolding whose rank is
+    r = rf(x), and every other mode in full.  The proof needs nothing from the
+    paper: every mode-q slice of x combines the kept ones, so x = y x_q A for
+    the subtensor y, with A (n_q x r) holding the identity at the basis rows
+    and so of full column rank.  The mode-q unfolding of x is A times y's,
+    and every other one is y's times the transpose of a Kronecker product of
+    A with identities; neither factor lowers a rank, so y has x's n-rank,
+    rf(y) = r is y's mode-q dimension, and by axiom P6 no subtensor of x
+    does better.
+
+    Each unfolding is factored once, mode q's reduction giving the basis, and
+    rf is never called, so nothing is memoised.  When rows are dropped the
+    rule is checked on y, and a value that tolerance effects changed raises
+    :class:`NumericError`.  A rank function with no rule on the n-rank raises
+    ValueError: use :func:`extract_brute_force`.
     """
+    if rf._nrank_rule is None:
+        raise ValueError(f"{rf.name} is not a rule on the n-rank; use extract_brute_force")
+    rule, tol = rf._nrank_rule
     if x.is_zero():
         return _zero_certificate(x)
-    r, p, B, exp = -1, 0, None, 0
-    for j in range(1, x.order + 1):
-        Bj, rj, ej = _reduce(unfold(x, j), tol)
-        if rj > r:
-            r, p, B, exp = rj, j, Bj, ej
-    rows = x.shape[p - 1]
+    reduced = [_reduce(unfold(x, j), tol) for j in range(1, x.order + 1)]
+    ranks = tuple(rank for _, rank, _ in reduced)
+    r = rule(NRank(ranks, tol))
+    q = ranks.index(r) + 1
+    B, _, exp = reduced[q - 1]
+    rows = x.shape[q - 1]
     basis = _select_rows((rows, x.size // rows), B, r, exp, tol)
     sel = IndexSelection(
         tuple(
-            basis.indices if l == p else tuple(range(1, n + 1))
+            basis.indices if l == q else tuple(range(1, n + 1))
             for l, n in enumerate(x.shape, start=1)
         )
     )
-    return subtensor(x, sel), FullRankCertificate(p, basis.indices, r, sel)
+    y = subtensor(x, sel)
+    if r < rows and rule(n_rank(y, tol)) != r:
+        raise NumericError(f"{rf.name}: the mode-{q} row basis of rank {r} changed the value")
+    return y, FullRankCertificate(q, basis.indices, r, sel)
+
+
+def extract_max_tucker(
+    x: DenseTensor, tol: RankTolerance = DEFAULT_TOL
+) -> tuple[DenseTensor, FullRankCertificate]:
+    """Maximum full-rank subtensor under the max-Tucker rank (see :func:`extract_nrank`)."""
+    return extract_nrank(max_tucker(tol), x)
 
 
 def verify_span_certificate(
     x: DenseTensor, cert: FullRankCertificate, tol: RankTolerance = DEFAULT_TOL
 ) -> bool:
-    """Check the two row-space claims behind a max-Tucker certificate: the
-    kept p-rows are independent and every other p-row lies in their span."""
+    """Check the two row-space claims behind a certificate of
+    :func:`extract_nrank`, under any rule on the n-rank: the kept p-rows are
+    independent and every other p-row lies in their span."""
     if cert.mode is None:
         return x.is_zero()
     M = unfold(x, cert.mode)

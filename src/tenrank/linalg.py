@@ -54,8 +54,8 @@ class RankTolerance:
     def __post_init__(self):
         if self.mode not in ("relative", "absolute"):
             raise ValueError(f"unknown tolerance mode {self.mode!r}")
-        if self.value is not None and self.value < 0:
-            raise ValueError("tolerance value must be nonnegative")
+        if self.value is not None and not self.value >= 0:  # NaN fails too
+            raise ValueError(f"tolerance value must be nonnegative, got {self.value!r}")
         if self.mode == "absolute" and self.value is None:
             raise ValueError("absolute tolerance needs an explicit value")
 

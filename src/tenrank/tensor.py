@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -102,7 +103,10 @@ class DenseTensor:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.shape, self._data.tobytes()))
+            # + 0.0 turns -0.0 into 0.0, which __eq__ holds equal, and keeps
+            # every other finite value's bits.  crc32 reads that one copy in
+            # place; 32 bits suit a memo key, as __eq__ settles collisions
+            self._hash = hash((self.shape, zlib.crc32(np.add(self._data, 0.0, order="C"))))
         return self._hash
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":

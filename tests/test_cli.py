@@ -99,12 +99,31 @@ def test_fullrank_certificate_survives_extreme_scaling(tmp_path, capsys, factor)
     assert out == ref
 
 
-def test_fullrank_submax_needs_brute(tmp_path, capsys):
+def test_fullrank_submax_extracts_without_brute(tmp_path, capsys):
     f = tmp_path / "p.tns"
     run(capsys, "gen", "counterexample-2x3x4", "--out", str(f))
-    code, _, err = run(capsys, "fullrank", str(f), "--fn", "submax")
-    assert code == 2
-    assert "brute" in err
+    code, out, err = run(capsys, "fullrank", str(f), "--fn", "submax")
+    assert code == 0, err
+    code, brute_out, _ = run(capsys, "fullrank", str(f), "--fn", "submax", "--brute")
+    assert code == 0
+    fast, brute = json.loads(out), json.loads(brute_out)
+    assert fast["rank_function"] == "submax_tucker"
+    # n-rank (2, 3, 4): submax 3 is first attained in mode 2, kept whole
+    assert (fast["mode"], fast["indices"], fast["rank"]) == (2, [1, 2, 3], 3)
+    assert brute["rank"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rank", "--fn", "max"], ["nrank", "--tol-mode", "absolute"], ["fullrank"]],
+    ids=["rank", "nrank", "fullrank"],
+)
+def test_a_nan_tolerance_is_refused(tmp_path, capsys, argv):
+    f = tmp_path / "p.tns"
+    run(capsys, "gen", "counterexample-2x3x4", "--out", str(f))
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:], "--tol", "nan")
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance value must be nonnegative, got nan\n"
 
 
 def test_closure_verb(tmp_path, capsys):

@@ -10,11 +10,14 @@ from tenrank import (
     DenseTensor,
     IndexSelection,
     NoFullRankError,
+    NRank,
+    NumericError,
     RankFunction,
     closure_eval,
     closure_rank_function,
     extract_brute_force,
     extract_max_tucker,
+    extract_nrank,
     identity_tensor,
     is_full_rank,
     max_tucker,
@@ -27,7 +30,10 @@ from tenrank import (
     subtensor,
     unfold,
     verify_span_certificate,
+    write_tensor,
 )
+from tenrank import fullrank
+from tenrank.cli import main
 from tenrank.fullrank import SEARCH_BUDGET, iter_selections
 from tenrank.generators import (
     counterexample_2x3x4,
@@ -410,6 +416,33 @@ def test_extract_max_tucker_factors_each_unfolding_once(monkeypatch):
     p = ranks.index(max(ranks)) + 1
     assert (cert.mode, cert.indices, cert.rank) == (p, row_basis(unfold(x, p)).indices, max(ranks))
     assert verify_span_certificate(x, cert)
+
+
+def test_extract_nrank_needs_a_rule_on_the_n_rank():
+    with pytest.raises(ValueError, match="extract_brute_force"):
+        extract_nrank(closure_rank_function(submax_tucker()), counterexample_2x3x4())
+
+
+def test_extract_nrank_checks_the_value_of_a_dropped_row_subtensor(monkeypatch, tmp_path):
+    x = tucker_structured((6, 7, 8), (2, 3, 2), seed=1)  # max 3 in mode 2: rows dropped
+    f = tmp_path / "x.tns"
+    write_tensor(x, f)
+    monkeypatch.setattr(fullrank, "n_rank", lambda y, tol: NRank((1,) * y.order, tol))
+    with pytest.raises(NumericError, match="mode-2"):
+        extract_nrank(max_tucker(), x)
+    assert main(["fullrank", str(f)]) == 5
+    # a basis that keeps every row returns x itself, unchecked
+    sub, cert = extract_nrank(max_tucker(), identity_tensor(3, 3))
+    assert sub == identity_tensor(3, 3) and cert.rank == 3
+
+
+def test_extract_nrank_under_submax_beyond_the_search_caps():
+    x = tucker_structured((100, 100, 90), (30, 20, 10), seed=3)
+    sub, cert = extract_nrank(submax_tucker(), x)
+    assert (cert.mode, cert.rank, sub.shape) == (2, 20, (100, 20, 90))
+    assert n_rank(sub).ranks == (30, 20, 10)
+    with pytest.raises(CapacityError):
+        extract_brute_force(submax_tucker(), x)
 
 
 def test_corner_tensor_search_skips_zero_subtensors():

@@ -72,6 +72,16 @@ def test_tolerance_validation():
         RankTolerance("fuzzy", 1.0)
 
 
+@pytest.mark.parametrize("mode", ["relative", "absolute"])
+def test_nan_tolerance_is_rejected(mode):
+    # nan < 0 is False, so a sign test alone lets NaN through and every
+    # singular value then counts as below the threshold
+    with pytest.raises(ValueError, match="nan"):
+        RankTolerance(mode, float("nan"))
+    # inf stays legal: every rank is 0, as under any relative factor >= 1
+    assert matrix_rank(np.eye(3), RankTolerance(mode, float("inf"))) == 0
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000))
 def test_rank_invariants_on_random_integer_matrices(seed):

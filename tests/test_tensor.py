@@ -71,6 +71,16 @@ def test_value_semantics():
         x.data[0, 0] = 9.0  # read-only storage
 
 
+def test_negative_zero_hashes_like_zero():
+    a, b = DenseTensor([0.0, 1.0]), DenseTensor([-0.0, 1.0])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the hash reads the entries in row-major order whatever the layout
+    c = np.arange(6.0).reshape(2, 3)
+    assert hash(DenseTensor(c)) == hash(DenseTensor(np.asfortranarray(c)))
+
+
 # ----------------------------------------------------------------- subtensors
 
 
