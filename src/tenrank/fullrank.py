@@ -90,9 +90,17 @@ def is_full_rank(rf: RankFunction, x: DenseTensor) -> tuple[bool, int | None]:
     return False, None
 
 
-def _zero_certificate(x: DenseTensor) -> tuple[DenseTensor, FullRankCertificate]:
-    sel = IndexSelection(tuple((1,) for _ in x.shape))
+def _zero_certificate(x: DenseTensor, entry) -> tuple[DenseTensor, FullRankCertificate]:
+    """The 1 x ... x 1 subtensor at a zero entry (0-based indices) of x."""
+    sel = IndexSelection(tuple((int(i) + 1,) for i in entry))
     return subtensor(x, sel), FullRankCertificate(None, (), 0, sel)
+
+
+def _not_proper(rf: RankFunction, x: DenseTensor) -> NoFullRankError:
+    return NoFullRankError(
+        f"{rf.name} leaves no subtensor of a tensor of shape {x.shape} of full "
+        "rank, so it is not a proper rank function"
+    )
 
 
 def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRankCertificate]:
@@ -107,7 +115,11 @@ def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRa
     and every other one is y's times the transpose of a Kronecker product of
     A with identities; neither factor lowers a rank, so y has x's n-rank,
     rf(y) = r is y's mode-q dimension, and by axiom P6 no subtensor of x
-    does better.
+    does better.  When r = 0, as under a tolerance at or above every
+    unfolding's largest singular value, every subtensor has value 0 by P6,
+    so only zero ones are of full rank: the first zero entry of x is returned
+    (mode None, rank 0), and with none :class:`NoFullRankError` is raised,
+    as :func:`extract_brute_force` does.
 
     Each unfolding is factored once, mode q's reduction giving the basis, and
     rf is never called, so nothing is memoised.  When rows are dropped the
@@ -119,10 +131,15 @@ def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRa
         raise ValueError(f"{rf.name} is not a rule on the n-rank; use extract_brute_force")
     rule, tol = rf._nrank_rule
     if x.is_zero():
-        return _zero_certificate(x)
+        return _zero_certificate(x, (0,) * x.order)
     reduced = [_reduce(unfold(x, j), tol) for j in range(1, x.order + 1)]
     ranks = tuple(rank for _, rank, _ in reduced)
     r = rule(NRank(ranks, tol))
+    if r == 0:  # rf is 0 on every subtensor (P6), so only zero ones are of full rank
+        zeros = np.argwhere(x.data == 0)
+        if not len(zeros):
+            raise _not_proper(rf, x)
+        return _zero_certificate(x, zeros[0])
     q = ranks.index(r) + 1
     B, _, exp = reduced[q - 1]
     rows = x.shape[q - 1]
@@ -275,7 +292,7 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
     """
     _check_capacity(x)
     if x.is_zero():
-        return _zero_certificate(x)
+        return _zero_certificate(x, (0,) * x.order)
     ceiling = rf(x)
     found: tuple[DenseTensor, FullRankCertificate] | None = None  # the best so far
     floor = -1  # its value, -1 before the first
@@ -318,10 +335,7 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
                 if reach is None:
                     reach = _reach(x.shape, d, rf.shape_bound)
     if found is None:
-        raise NoFullRankError(
-            f"{rf.name} leaves no subtensor of a tensor of shape {x.shape} of full "
-            "rank, so it is not a proper rank function"
-        )
+        raise _not_proper(rf, x)
     return found
 
 

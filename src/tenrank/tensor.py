@@ -297,10 +297,11 @@ def mode_product(x: DenseTensor, matrix, mode: int) -> DenseTensor:
     return fold(A @ unfold(x, mode), mode, new_shape)
 
 
-def mode_products(x: DenseTensor, matrices: Sequence, skip: int | None = None) -> DenseTensor:
-    """x times ``matrices[j-1]`` in every mode j, in mode order, except mode ``skip``."""
+def mode_products(x: DenseTensor, matrices: Sequence) -> DenseTensor:
+    """x times ``matrices[j-1]`` in every mode j, in mode order; a None entry
+    leaves its mode alone."""
     for j, A in enumerate(matrices, start=1):
-        if j != skip:
+        if A is not None:
             x = mode_product(x, A, j)
     return x
 

@@ -13,6 +13,7 @@ from tenrank import (
     NRank,
     NumericError,
     RankFunction,
+    RankTolerance,
     closure_eval,
     closure_rank_function,
     extract_brute_force,
@@ -443,6 +444,55 @@ def test_extract_nrank_under_submax_beyond_the_search_caps():
     assert n_rank(sub).ranks == (30, 20, 10)
     with pytest.raises(CapacityError):
         extract_brute_force(submax_tucker(), x)
+
+
+# tolerances under which every unfolding rank of the test tensors is 0
+ZERO_RANK_TOLS = [
+    RankTolerance("relative", float("inf")),
+    RankTolerance("relative", 1.0),
+    RankTolerance("absolute", 1e3),
+]
+
+
+@pytest.mark.parametrize("tol", ZERO_RANK_TOLS, ids=lambda t: t.describe())
+@pytest.mark.parametrize("make", [max_tucker, submax_tucker])
+def test_extract_nrank_at_value_zero_returns_a_zero_entry_as_brute_force_does(make, tol):
+    rf = make(tol)
+    x = counterexample_2x3x4()  # nonzero, with zero entries
+    assert n_rank(x, tol).ranks == (0, 0, 0)
+    sub, cert = extract_nrank(rf, x)
+    _, brute = extract_brute_force(rf, x)
+    assert (cert.mode, cert.indices, cert.rank) == (brute.mode, brute.indices, brute.rank) == (None, (), 0)
+    assert sub.is_zero() and sub.shape == (1, 1, 1)
+    assert subtensor(x, cert.selection) == sub
+    assert cert.selection.indices == ((1,), (1,), (2,))  # the first zero entry in C order
+
+
+@pytest.mark.parametrize("tol", ZERO_RANK_TOLS, ids=lambda t: t.describe())
+@pytest.mark.parametrize("make", [max_tucker, submax_tucker])
+def test_extract_nrank_at_value_zero_without_a_zero_entry_raises_as_brute_force_does(make, tol):
+    rf = make(tol)
+    x = DenseTensor(random_tensor((2, 3, 4), seed=1).data + 10.0)  # no zero entry
+    assert n_rank(x, tol).ranks == (0, 0, 0)
+    with pytest.raises(NoFullRankError) as brute:
+        extract_brute_force(rf, x)
+    with pytest.raises(NoFullRankError) as fast:
+        extract_nrank(rf, x)
+    assert str(fast.value) == str(brute.value)
+
+
+def test_fullrank_cli_at_value_zero_matches_brute(tmp_path, capsys):
+    dense = DenseTensor(random_tensor((2, 3, 4), seed=1).data + 10.0)
+    for name, x in (("ce.tns", counterexample_2x3x4()), ("dense.tns", dense)):
+        f = tmp_path / name
+        write_tensor(x, f)
+        outputs = []
+        for extra in ([], ["--brute"]):
+            code = main(["fullrank", str(f), "--tol", "inf", *extra])
+            out, err = capsys.readouterr()
+            outputs.append((code, '"rank": 0' in out, err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == (0 if name == "ce.tns" else 2)
 
 
 def test_corner_tensor_search_skips_zero_subtensors():

@@ -1,5 +1,7 @@
 """Tucker fitting: HOSVD variants, HOOI, model round trips, sweeps."""
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from tenrank import (
     DenseTensor,
     SweepConfig,
+    default_sweep_config,
     frobenius_norm,
     hooi,
     hosvd,
@@ -18,9 +21,20 @@ from tenrank import (
     scale,
     st_hosvd,
     sweep_to_csv,
+    unfold,
 )
 from tenrank.generators import planted_tucker, random_rank_one, random_tensor, tucker_structured
-from tenrank.tucker import CSV_HEADER, _leading_factor, load_model, save_model
+from tenrank.tensor import mode_product, mode_products
+from tenrank.tucker import (
+    CSV_HEADER,
+    FIT_TOL,
+    MAX_ITERS,
+    METHODS,
+    _leading_factor,
+    generate_sweep_source,
+    load_model,
+    save_model,
+)
 
 
 def naive_reconstruct(model):
@@ -146,6 +160,23 @@ def test_model_save_load_round_trip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(back.factors, model.factors))
     assert back.method == "hosvd"
     assert back.relative_error == model.relative_error
+    assert back.error_history == model.error_history == [model.relative_error]
+
+
+def test_model_round_trip_keeps_the_hooi_error_history(tmp_path):
+    x = planted_tucker((9, 7, 6), (3, 2, 2), snr_db=10.0, seed=14)
+    model = hooi(x, (3, 2, 2))
+    assert len(model.error_history) == model.iterations + 1 >= 3
+    save_model(model, tmp_path / "model")
+    meta = json.loads((tmp_path / "model" / "meta.json").read_text())
+    assert meta["error_history"] == model.error_history
+    back = load_model(tmp_path / "model")
+    assert back.error_history == model.error_history  # exact: json writes floats by repr
+    assert (back.iterations, back.relative_error) == (model.iterations, model.relative_error)
+    # a model saved without the key still loads, with an empty history
+    del meta["error_history"]
+    (tmp_path / "model" / "meta.json").write_text(json.dumps(meta))
+    assert load_model(tmp_path / "model").error_history == []
 
 
 def test_sweep_small_grid():
@@ -258,3 +289,142 @@ def test_leading_factor_of_wide_matrix_spans_the_svd_subspace(rows, cols, rank, 
         ref = u[:, :r]
         # sine of the largest principal angle between the two column spaces
         assert np.linalg.norm(f - ref @ (ref.T @ f), 2) <= 1e-10
+
+
+# ---------------------------------- shared factorizations, bit-identical fits
+
+def reference_hooi(x, ranks):
+    """HOOI with every factor from x compressed afresh in all other modes, in
+    mode order, and the core compressed afresh: the loop before the prefix of
+    updated modes was shared.  Returns (core, factors, iterations, history)."""
+    init = st_hosvd(x, ranks)
+    factors = list(init.factors)
+    norm_x = frobenius_norm(x)
+    history = [init.relative_error]
+    fit = frobenius_norm(init.core) / norm_x
+    for iterations in range(1, MAX_ITERS + 1):
+        for j in range(1, x.order + 1):
+            y = x
+            for k, f in enumerate(factors, start=1):
+                if k != j:
+                    y = mode_product(y, f.T, k)
+            factors[j - 1] = _leading_factor(unfold(y, j), ranks[j - 1])
+        core = x
+        for k, f in enumerate(factors, start=1):
+            core = mode_product(core, f.T, k)
+        new_fit = frobenius_norm(core) / norm_x
+        history.append(float(np.sqrt(max(0.0, 1.0 - new_fit**2))))
+        if abs(new_fit - fit) < FIT_TOL:
+            break
+        fit = new_fit
+    err = relative_error(mode_products(core, factors), x)
+    return core, factors, iterations, history[:-1] + [err]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+HOOI_CASES = [  # (shape, ranks); "r_1 > 2" marks a rank above the product of the others
+    ((7, 5), (2, 2)),
+    ((7, 5), (3, 2)),  # r_1 > 2
+    ((6, 5, 4), (3, 2, 2)),
+    ((6, 5, 4), (5, 2, 2)),  # r_1 > 4
+    ((5, 4, 3, 3), (2, 2, 1, 2)),
+    ((5, 4, 3, 3), (4, 1, 3, 1)),  # r_1 > 3
+    ((4, 3, 3, 2, 2), (2, 2, 2, 1, 2)),
+    ((4, 3, 3, 2, 2), (3, 2, 1, 1, 1)),  # r_1 > 2
+]
+
+
+@pytest.mark.parametrize("shape,ranks", HOOI_CASES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hooi_matches_the_skip_compress_loop_bit_for_bit(shape, ranks, seed):
+    x = planted_tucker(shape, tuple(min(2, n) for n in shape), snr_db=5.0, seed=seed)
+    core, factors, iterations, history = reference_hooi(x, ranks)
+    model = hooi(x, ranks)
+    assert same_bits(model.core.data, core.data)
+    assert len(model.factors) == len(factors)
+    assert all(same_bits(a, b) for a, b in zip(model.factors, factors))
+    assert model.iterations == iterations
+    assert model.error_history == history
+
+
+def sweep_grid(config):
+    return [config.effective_ranks(r, cap) for r in config.r_values for cap in config.mode1_caps]
+
+
+SWEEP_CONFIGS = [
+    SweepConfig(shape=(14, 5, 5), r_values=(1, 2, 3, 4, 5), mode1_caps=("r", 3, 6, 14), seed=2, core_shape=(5, 3, 3)),
+    SweepConfig(shape=(9, 4, 3, 3), r_values=(1, 2, 3), mode1_caps=("r", 2, 9), seed=5, core_shape=(4, 2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("config", SWEEP_CONFIGS, ids=lambda c: "x".join(map(str, c.shape)))
+def test_sweep_rows_equal_direct_calls(method, config):
+    config = dataclasses.replace(config, method=method)
+    source = generate_sweep_source(config)
+    rows = run_sweep(config, source)
+    assert len(rows) == len(sweep_grid(config))
+    for row in rows:
+        direct = METHODS[method](source, config.effective_ranks(row.r, row.mode1_cap))
+        assert row.relative_error == direct.relative_error
+        assert row.method == method
+
+
+def count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_default_hosvd_sweep_factors_each_unfolding_once(monkeypatch):
+    config = default_sweep_config()
+    source = generate_sweep_source(config)
+    calls = count_svds(monkeypatch)
+    assert len(run_sweep(config, source)) == 44
+    assert len(calls) == 3  # one per mode for all 44 fits
+
+
+def st_truncations(config):
+    """The distinct (mode j, ranks of the modes before j) of a grid: what
+    fixes the unfolding ST-HOSVD truncates in mode j."""
+    return {(j, ranks[: j - 1]) for ranks in sweep_grid(config) for j in range(1, len(ranks) + 1)}
+
+
+def test_st_hosvd_sweep_factors_each_distinct_truncation_once(monkeypatch):
+    config = SweepConfig(method="st_hosvd")
+    source = generate_sweep_source(config)
+    calls = count_svds(monkeypatch)
+    run_sweep(config, source)
+    assert len(calls) == len(st_truncations(config)) == 1 + 13 + 42  # for 3 x 44 truncations
+
+
+def test_hooi_sweep_shares_its_initialization_only(monkeypatch):
+    config = SweepConfig(method="hooi", r_values=(1, 2, 3, 10, 11))
+    source = generate_sweep_source(config)
+    sweeps = sum(hooi(source, ranks).iterations for ranks in sweep_grid(config))
+    calls = count_svds(monkeypatch)
+    run_sweep(config, source)
+    assert len(calls) == len(st_truncations(config)) + 3 * sweeps
+
+
+def test_direct_fits_share_nothing(monkeypatch):
+    x = planted_tucker((8, 6, 5), (3, 2, 2), snr_db=20.0, seed=3)
+    calls = count_svds(monkeypatch)
+    hosvd(x, (2, 2, 2))
+    hosvd(x, (2, 2, 2))
+    st_hosvd(x, (2, 2, 2))
+    st_hosvd(x, (2, 2, 2))
+    assert len(calls) == 12
+    calls.clear()
+    model = hooi(x, (2, 2, 2))
+    assert len(calls) == 3 + 3 * model.iterations
