@@ -18,5 +18,5 @@ class NumericError(RuntimeError):
 
 
 class NoFullRankError(ValueError):
-    """A rank function leaves a nonzero tensor without any full-rank subtensor,
-    which no proper rank function does."""
+    """A rank function leaves a nonzero tensor without any full-rank subtensor:
+    no proper rank function does, unless a tolerance makes it 0 there."""

@@ -43,7 +43,7 @@ MAX_MODE_DIM = 8
 # Subtensors one brute-force search may examine, zero ones included.  It
 # exceeds the 29,791 selections of a 5x5x5 tensor, so every search of that
 # size or smaller ends.  Searches that end through the early stops need far
-# fewer: at most 40 per call on the benchmark's oracle batch, and 4,830 for
+# fewer: at most 37 per call on the benchmark's oracle batch, and 4,720 for
 # max_tucker on the hardest 8x8x8 Tucker-structured tensor tried (core
 # (8, 8, 1)).  A cheap rank function spends the whole budget on 8x8x8 in
 # about 1.5 s on a 2-core x86-64 VM, max_tucker on 8x8x8x8 in 8-10 s.
@@ -103,6 +103,22 @@ def _not_proper(rf: RankFunction, x: DenseTensor) -> NoFullRankError:
     )
 
 
+def _at_value_zero(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRankCertificate]:
+    """The first zero entry of x, the answer when rf(x) = 0 on a nonzero x.
+    With none, NoFullRankError names the tolerance when rf is a rule on the
+    n-rank, as that is what zeroed every unfolding rank; any other rank
+    function that is 0 on a nonzero tensor is not proper."""
+    zeros = np.argwhere(x.data == 0)
+    if len(zeros):
+        return _zero_certificate(x, zeros[0])
+    if rf._nrank_rule is None:
+        raise _not_proper(rf, x)
+    raise NoFullRankError(
+        f"{rf.name} is 0 under tolerance {rf._nrank_rule[1].describe()} on a tensor of "
+        f"shape {x.shape} with no zero entry, so no subtensor is of full rank"
+    )
+
+
 def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRankCertificate]:
     """Maximum full-rank subtensor under a rank function whose value is one of
     the unfolding ranks: max_tucker, submax_tucker, or a min_rank of them.
@@ -118,8 +134,8 @@ def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRa
     does better.  When r = 0, as under a tolerance at or above every
     unfolding's largest singular value, every subtensor has value 0 by P6,
     so only zero ones are of full rank: the first zero entry of x is returned
-    (mode None, rank 0), and with none :class:`NoFullRankError` is raised,
-    as :func:`extract_brute_force` does.
+    (mode None, rank 0), and with none :class:`NoFullRankError`, naming the
+    tolerance, is raised, as :func:`extract_brute_force` does.
 
     Each unfolding is factored once, mode q's reduction giving the basis, and
     rf is never called, so nothing is memoised.  When rows are dropped the
@@ -135,11 +151,8 @@ def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRa
     reduced = [_reduce(unfold(x, j), tol) for j in range(1, x.order + 1)]
     ranks = tuple(rank for _, rank, _ in reduced)
     r = rule(NRank(ranks, tol))
-    if r == 0:  # rf is 0 on every subtensor (P6), so only zero ones are of full rank
-        zeros = np.argwhere(x.data == 0)
-        if not len(zeros):
-            raise _not_proper(rf, x)
-        return _zero_certificate(x, zeros[0])
+    if r == 0:
+        return _at_value_zero(rf, x)
     q = ranks.index(r) + 1
     B, _, exp = reduced[q - 1]
     rows = x.shape[q - 1]
@@ -204,15 +217,35 @@ def _band(shape: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _reach(shape: tuple[int, ...], d: int, bound) -> dict[tuple[int, ...], int]:
-    """Every leading run of sizes of a band-d shape, whole shapes included,
-    mapped to the largest ``bound`` of the shapes it leads to (d if None)."""
+def _largest_at_most(k: tuple[int, ...], m: int) -> int:
+    """The largest entry of k that is at most m, or 0 if none is."""
+    return m if m in k else max((n for n in k if n < m), default=0)
+
+
+def _reach(
+    shape: tuple[int, ...], d: int, bound, ceiling: int, floor: int
+) -> dict[tuple[int, ...], int]:
+    """Every leading run of sizes of a band-d shape that can still beat
+    ``floor``, whole shapes included, mapped to the largest value a full-rank
+    subtensor of the shapes it leads to can reach: for a shape k, the largest
+    k_j <= min(bound(k), ceiling) (see :func:`extract_brute_force`).
+
+    The cap by ceiling comes first, so ``bound`` is asked only of shapes that
+    could beat the floor without it.  Shapes that cannot beat it are left
+    out, and as the floor only rises, they never can.
+    """
     reach: dict[tuple[int, ...], int] = {}
     for k in _band(shape, d):
-        b = d if bound is None else bound(k)
+        cap = d if d <= ceiling else _largest_at_most(k, ceiling)  # d is the largest k_j
+        if cap > floor and bound is not None:
+            b = bound(k)
+            if b < cap:
+                cap = _largest_at_most(k, b)
+        if cap <= floor:
+            continue
         for j in range(1, len(k) + 1):
-            if reach.get(k[:j], -1) < b:
-                reach[k[:j]] = b
+            if reach.get(k[:j], 0) < cap:
+                reach[k[:j]] = cap
     return reach
 
 
@@ -274,15 +307,29 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
     band the selections are expanded mode by mode in lexicographic subset
     order, and each step asks one entry test.  Before a best value exists it
     enters everything; after, a subset is entered only if the ``reach`` of
-    its leading run of sizes exceeds the best: the largest ``shape_bound``
-    of the band's shapes the run leads to (d if the rank function has none).
+    its leading run of sizes exceeds the best: the largest value a full-rank
+    subtensor of the band's shapes the run leads to can reach.  For a shape
+    k that is its largest kept dimension k_j with k_j <= min(bound(k), rf(x)),
+    or 0 if none, where bound is ``shape_bound`` (d if the rank function has
+    none).  Both caps are safe.  A full-rank subtensor y has rf(y) = k_j for
+    some j (that is what full rank means) and rf(y) <= bound(k), so a k_j
+    above the bound is never its value.  No subtensor exceeds rf(x) by axiom
+    P6, which the ceiling stop already assumes: the second cap newly refuses
+    only a subtensor whose value would exceed rf(x) and let a closure
+    exceed rf.
     A subset of a non-final mode is also refused when, with the subsets
     before it, it picks out an all-zero slab of x: every subtensor under it
     is zero, and rank 0 never beats the best.  The search returns once the
-    best reaches d (the band stop) or rf(x) (no subtensor exceeds rf(x), by
-    axiom P6).  Every selection left out cannot beat the best, and the order
-    is unchanged with ties never reordered, so the certificate is the first
-    selection in the documented order that attains the best value.
+    best reaches d (the band stop) or rf(x) (the ceiling stop).  Every
+    selection left out cannot beat the best, and the order is unchanged with
+    ties never reordered, so the certificate is the first selection in the
+    documented order that attains the best value.
+
+    When rf(x) = 0 on a nonzero x, as under a tolerance at or above every
+    unfolding's largest singular value, every subtensor has value 0 by P6:
+    the search returns the first zero entry of x at once, as
+    :func:`extract_nrank` does, and with none raises
+    :class:`NoFullRankError` naming the tolerance.
 
     Each call examines at most ``SEARCH_BUDGET`` subtensors; past that it
     raises :class:`CapacityError`, as it does for a tensor of more than
@@ -294,6 +341,8 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
     if x.is_zero():
         return _zero_certificate(x, (0,) * x.order)
     ceiling = rf(x)
+    if ceiling == 0:
+        return _at_value_zero(rf, x)
     found: tuple[DenseTensor, FullRankCertificate] | None = None  # the best so far
     floor = -1  # its value, -1 before the first
     has_zero = not x.data.all()  # no zero entry, no zero slab
@@ -302,7 +351,7 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
     def enter(sizes, chosen) -> bool:
         if floor < 0:
             return True  # any subtensor beats none
-        if reach[sizes] <= floor:
+        if reach.get(sizes, 0) <= floor:
             return False
         j = len(sizes)
         if not has_zero or j == x.order:
@@ -313,7 +362,8 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
     for d in range(max(x.shape), 0, -1):
         if floor >= d:
             break  # band stop: no shape left has a dimension above the best
-        reach = _reach(x.shape, d, rf.shape_bound) if found else None  # built once a best exists
+        # built once a best exists
+        reach = _reach(x.shape, d, rf.shape_bound, ceiling, floor) if found else None
         for combo in _walk_band(x.shape, d, enter):
             examined += 1
             if examined > SEARCH_BUDGET:
@@ -333,7 +383,7 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
                 if r == ceiling or r >= d:
                     return found
                 if reach is None:
-                    reach = _reach(x.shape, d, rf.shape_bound)
+                    reach = _reach(x.shape, d, rf.shape_bound, ceiling, floor)
     if found is None:
         raise _not_proper(rf, x)
     return found

@@ -113,7 +113,11 @@ class DenseTensor:
         return add(self, other)
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        return add(self, scale(other, -1.0))
+        # one temporary: IEEE a - b is a + (-b), so the bits are those of
+        # add(self, -other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return DenseTensor._of_fresh(_check_finite(self._data - other._data))
 
     def __neg__(self) -> "DenseTensor":
         return scale(self, -1.0)

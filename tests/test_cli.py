@@ -269,11 +269,11 @@ def test_rank_survives_an_overflowing_singular_value(tmp_path, capsys):
 
 
 def test_exit_code_capacity_from_the_search_budget(tmp_path, capsys, monkeypatch):
-    # the max_tucker search on this tensor ends at rf(x) after 1,486 subtensors
+    # the max_tucker search on this tensor ends at rf(x) after 4,720 subtensors
     f = tmp_path / "t.tns"
-    write_tensor(tucker_structured((8, 8, 8), (4, 4, 1), seed=0), f)
+    write_tensor(tucker_structured((8, 8, 8), (8, 8, 1), seed=0), f)
     code, out, _ = run(capsys, "fullrank", str(f), "--brute")
-    assert code == 0 and json.loads(out)["rank"] == 4
+    assert code == 0 and json.loads(out)["rank"] == 8
     monkeypatch.setattr(tenrank.fullrank, "SEARCH_BUDGET", 1000)
     code, out, err = run(capsys, "fullrank", str(f), "--brute")
     assert code == 4 and out == ""

@@ -342,6 +342,66 @@ def test_class_search_matches_the_selection_walk(seed):
             assert (sub.data.tobytes(), (cert.mode, cert.indices, cert.rank, cert.selection.indices)) == ref
 
 
+def _orthogonal(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q
+
+
+def _differential_batch(seed):
+    """Seeded tensors for the differential test, one list per family."""
+    rng = np.random.default_rng(seed)
+
+    def shape():
+        order = int(rng.integers(2, 5))
+        return tuple(int(n) for n in rng.integers(1, (6, 5, 4, 3)[order - 1] + 1, size=order))
+
+    families = {"integer": [], "sparse": [], "rank_one": [], "tucker": [], "graded": [], "diag_1e10": []}
+    for i in range(6):
+        tag = (seed, 7, i)
+        families["integer"].append(random_tensor(shape(), seed=tag, integer=True))
+        s = shape()
+        keep = rng.random(s) >= 0.4  # about 40% zeros
+        families["sparse"].append(DenseTensor(np.where(keep, rng.integers(-3, 4, size=s), 0).astype(float)))
+        families["rank_one"].append(random_rank_one(shape(), seed=tag))
+        s = shape()
+        core = tuple(int(rng.integers(1, n + 1)) for n in s)
+        families["tucker"].append(tucker_structured(s, core, seed=tag))
+        # a core whose entries fall from 1 to 1e-16 along every mode, mixed
+        # by random orthogonal factors
+        s = shape()
+        core = rng.standard_normal(s)
+        for j, n in enumerate(s):
+            grade = np.logspace(0, -16, n) if n > 1 else np.ones(1)
+            core = core * grade.reshape((1,) * j + (n,) + (1,) * (len(s) - j - 1))
+        for j, n in enumerate(s):
+            core = np.moveaxis(np.tensordot(_orthogonal(rng, n), core, axes=(1, j)), 0, j)
+        families["graded"].append(DenseTensor(core))
+        a, b = 10.0 ** -rng.integers(0, 12, size=2)
+        families["diag_1e10"].append(DenseTensor(np.diag([1e10, a, b])[:, :, None] * np.eye(3)))
+    families["diag_1e10"][0] = DenseTensor(np.diag([1e10, 1e-7, 1e-7])[:, :, None] * np.eye(3))
+    return families
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_matches_the_reference_on_a_differential_batch(seed):
+    factories = {
+        "max": max_tucker,
+        "submax": submax_tucker,
+        "min": lambda: min_rank(max_tucker(), submax_tucker()),
+        "closure_submax": lambda: closure_rank_function(submax_tucker()),
+        "max_absolute": lambda: max_tucker(RankTolerance("absolute", 1e-6)),
+        "max_unbounded": lambda: RankFunction("max_unbounded", max_tucker_rank),
+    }
+    for family, tensors in _differential_batch(seed).items():
+        for i, x in enumerate(tensors):
+            for name, make in factories.items():
+                ref = _reference_extract(make(), x)
+                assert ref is not None, (family, i, name)
+                sub, cert = extract_brute_force(make(), x)
+                got = (sub.data.tobytes(), (cert.mode, cert.indices, cert.rank, cert.selection.indices))
+                assert got == ref, (family, i, name)
+
+
 def _counting(rf):
     calls = []
 
@@ -373,10 +433,10 @@ def test_search_budget_stops_a_search_whose_early_stops_never_fire():
 @pytest.mark.parametrize(
     "core, make, evaluations",
     [
-        ((8, 8, 1), max_tucker, 4831),
+        ((8, 8, 1), max_tucker, 4721),
         ((8, 8, 1), submax_tucker, 1568),
-        ((4, 4, 1), max_tucker, 1487),
-        ((4, 4, 1), submax_tucker, 1266),
+        ((4, 4, 1), max_tucker, 711),
+        ((4, 4, 1), submax_tucker, 711),
     ],
     ids=["core881-max", "core881-submax", "core441-max", "core441-submax"],
 )
@@ -481,18 +541,41 @@ def test_extract_nrank_at_value_zero_without_a_zero_entry_raises_as_brute_force_
     assert str(fast.value) == str(brute.value)
 
 
+@pytest.mark.parametrize("tol", ZERO_RANK_TOLS, ids=lambda t: t.describe())
+def test_search_at_value_zero_returns_at_once_and_names_the_tolerance(tol, monkeypatch):
+    built = []
+    monkeypatch.setattr(fullrank, "subtensor", lambda x, sel: built.append(sel) or subtensor(x, sel))
+    _, cert = extract_brute_force(max_tucker(tol), counterexample_2x3x4())
+    assert cert.selection.indices == ((1,), (1,), (2,))  # the first zero entry, as extract_nrank gives
+    assert len(built) == 1  # that entry, and no walk before it
+    x = DenseTensor(random_tensor((2, 3, 4), seed=1).data + 10.0)
+    for make in (max_tucker, submax_tucker):
+        with pytest.raises(NoFullRankError) as exc:
+            extract_brute_force(make(tol), x)
+        assert str(exc.value) == (
+            f"{make().name} is 0 under tolerance {tol.describe()} on a tensor of shape (2, 3, 4) "
+            "with no zero entry, so no subtensor is of full rank"
+        )
+    assert len(built) == 1
+
+
 def test_fullrank_cli_at_value_zero_matches_brute(tmp_path, capsys):
     dense = DenseTensor(random_tensor((2, 3, 4), seed=1).data + 10.0)
     for name, x in (("ce.tns", counterexample_2x3x4()), ("dense.tns", dense)):
         f = tmp_path / name
         write_tensor(x, f)
-        outputs = []
-        for extra in ([], ["--brute"]):
-            code = main(["fullrank", str(f), "--tol", "inf", *extra])
-            out, err = capsys.readouterr()
-            outputs.append((code, '"rank": 0' in out, err))
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0] == (0 if name == "ce.tns" else 2)
+        for tol in ("inf", "1"):
+            outputs = []
+            for argv in (["fullrank"], ["fullrank", "--brute"], ["closure"]):
+                code = main([argv[0], str(f), "--fn", "max", "--tol", tol, *argv[1:]])
+                outputs.append((code, *capsys.readouterr()))
+            if name == "ce.tns":
+                assert outputs[0] == outputs[1] and outputs[0][0] == 0
+                assert '"rank": 0' in outputs[0][1]
+                assert outputs[2][:2] == (0, "closure_max_tucker=0\n")
+            else:
+                message = f"error: max_tucker is 0 under tolerance relative:{float(tol)!r} on a tensor"
+                assert all(code == 2 and out == "" and err.startswith(message) for code, out, err in outputs)
 
 
 def test_corner_tensor_search_skips_zero_subtensors():

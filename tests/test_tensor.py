@@ -338,6 +338,25 @@ def test_scale_add_norm_trivia():
         add(x, random_tensor((3, 2), seed=7))
 
 
+def test_subtraction_has_the_bits_of_adding_the_negation():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 5, 3)) * 10.0 ** rng.integers(-310, 300, size=(4, 5, 3))
+    b = rng.standard_normal((4, 5, 3)) * 10.0 ** rng.integers(-310, 300, size=(4, 5, 3))
+    a[0, 0, :] = [0.0, -0.0, 0.0]  # signed zeros on both sides
+    b[0, 0, :] = [0.0, 0.0, -0.0]
+    b[1] = a[1]  # exact cancellation
+    x, y = DenseTensor(a), DenseTensor(b)
+    for p, q in ((x, y), (y, x), (permute_modes(x, (3, 1, 2)), permute_modes(y, (3, 1, 2)))):
+        got = p - q
+        assert got.data.tobytes() == add(p, scale(q, -1.0)).data.tobytes()
+        assert not got.data.flags.writeable
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            DenseTensor([1e308]) - DenseTensor([-1e308])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        x - DenseTensor(a[:, :, :2])
+
+
 # ------------------------------------------------------------------ properties
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
