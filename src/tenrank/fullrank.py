@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,7 +77,7 @@ class FullRankCertificate:
         return json.dumps(self.to_json())
 
 
-def is_full_rank(rf: RankFunction, x: DenseTensor) -> tuple[bool, int | None]:
+def is_full_rank(rf: Callable[[DenseTensor], int], x: DenseTensor) -> tuple[bool, int | None]:
     """Whether rf(x) equals some dimension of x; returns the witness mode.
 
     Zero tensors are full rank by convention, with no witness mode.
@@ -138,10 +139,10 @@ def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRa
     tolerance, is raised, as :func:`extract_brute_force` does.
 
     Each unfolding is factored once, mode q's reduction giving the basis, and
-    rf is never called, so nothing is memoised.  When rows are dropped the
-    rule is checked on y, and a value that tolerance effects changed raises
-    :class:`NumericError`.  A rank function with no rule on the n-rank raises
-    ValueError: use :func:`extract_brute_force`.
+    rf is never called.  When rows are dropped the rule is checked on y, and
+    a value that tolerance effects changed raises :class:`NumericError`.  A
+    rank function with no rule on the n-rank raises ValueError: use
+    :func:`extract_brute_force`.
     """
     if rf._nrank_rule is None:
         raise ValueError(f"{rf.name} is not a rule on the n-rank; use extract_brute_force")
@@ -181,9 +182,16 @@ def verify_span_certificate(
 ) -> bool:
     """Check the two row-space claims behind a certificate of
     :func:`extract_nrank`, under any rule on the n-rank: the kept p-rows are
-    independent and every other p-row lies in their span."""
+    independent and every other p-row lies in their span.  A certificate
+    that names no mode of x, or whose kept indices are not ``cert.rank``
+    strictly increasing p-rows of x, is refused."""
     if cert.mode is None:
         return x.is_zero()
+    if not 1 <= cert.mode <= x.order:
+        return False
+    bounds = (0, *cert.indices, x.shape[cert.mode - 1] + 1)  # 0 < i_1 < ... < n + 1
+    if len(cert.indices) != cert.rank or any(a >= b for a, b in zip(bounds, bounds[1:])):
+        return False
     M = unfold(x, cert.mode)
     rows = [i - 1 for i in cert.indices]
     if matrix_rank(M[rows], tol) != cert.rank:
@@ -323,7 +331,9 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
     best reaches d (the band stop) or rf(x) (the ceiling stop).  Every
     selection left out cannot beat the best, and the order is unchanged with
     ties never reordered, so the certificate is the first selection in the
-    documented order that attains the best value.
+    documented order that attains the best value.  The full selection, x
+    itself, is given the value rf(x) already taken for the ceiling rather
+    than a second call, as evaluators are pure.
 
     When rf(x) = 0 on a nonzero x, as under a tolerance at or above every
     unfolding's largest singular value, every subtensor has value 0 by P6:
@@ -347,6 +357,7 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
     floor = -1  # its value, -1 before the first
     has_zero = not x.data.all()  # no zero entry, no zero slab
     examined = 0
+    value = lambda y: ceiling if y.shape == x.shape else rf(y)
 
     def enter(sizes, chosen) -> bool:
         if floor < 0:
@@ -373,7 +384,7 @@ def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, 
                 )
             sel = IndexSelection(combo)
             y = subtensor(x, sel)
-            full, mode = is_full_rank(rf, y)
+            full, mode = is_full_rank(value, y)
             if not full:
                 continue
             r = y.shape[mode - 1] if mode is not None else 0

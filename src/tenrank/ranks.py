@@ -83,18 +83,10 @@ class RankFunction:
     ``shape_bound`` is an optional optimistic upper bound on the value for a
     given shape, used to prune brute-force subtensor enumeration.
 
-    Evaluators must be pure; results are memoised per instance.  The memo
-    keeps the evaluated tensors alive, so it is emptied whenever they would
-    take more than ``_CACHE_BYTES``: 8 MiB, counted as each tensor's entries
-    plus ``_ENTRY_BYTES`` for the objects around them, room for about 25,000
-    tensors of one entry and for fewer of the larger tensors that a subtensor
-    search builds.
+    Evaluators must be pure: a caller that already holds rf(x) may use it
+    in place of another call.
     """
 
-    _CACHE_BYTES = 1 << 23
-    # the DenseTensor, ndarray header, cached hash and dict slot of one memo
-    # entry: about 300 B of resident memory per one-entry tensor, measured
-    _ENTRY_BYTES = 320
     # (rule, tol) when the value is rule(n_rank(x, tol)); see min_rank
     _nrank_rule: tuple[Callable[[NRank], int], RankTolerance] | None = None
 
@@ -109,21 +101,9 @@ class RankFunction:
         self.evaluator = evaluator
         self.declared_properties = frozenset(declared_properties)
         self.shape_bound = shape_bound
-        self._cache: dict[DenseTensor, int] = {}
-        self._cache_bytes = 0
 
     def __call__(self, x: DenseTensor) -> int:
-        hit = self._cache.get(x)
-        if hit is not None:
-            return hit
-        value = int(self.evaluator(x))
-        cost = x.data.nbytes + self._ENTRY_BYTES
-        self._cache_bytes += cost
-        if self._cache_bytes > self._CACHE_BYTES:
-            self._cache.clear()
-            self._cache_bytes = cost
-        self._cache[x] = value
-        return value
+        return int(self.evaluator(x))
 
     def __repr__(self) -> str:
         return f"RankFunction({self.name!r})"

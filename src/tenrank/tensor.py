@@ -110,9 +110,13 @@ class DenseTensor:
         return self._hash
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
+        if not isinstance(other, DenseTensor):
+            return NotImplemented
         return add(self, other)
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
+        if not isinstance(other, DenseTensor):
+            return NotImplemented
         # one temporary: IEEE a - b is a + (-b), so the bits are those of
         # add(self, -other)
         if self.shape != other.shape:

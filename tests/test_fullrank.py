@@ -106,6 +106,18 @@ def test_extract_zero_tensor_convention():
         assert sub.shape == (1, 1, 1) and sub.is_zero()
 
 
+def test_span_certificate_rejects_indices_that_are_no_increasing_rows_of_x():
+    from tenrank.fullrank import FullRankCertificate
+
+    x = DenseTensor(np.outer([1.0, 2.0, 3.0], [1.0, 1.0]))
+    full = IndexSelection(((1, 2, 3), (1, 2)))
+    assert verify_span_certificate(x, FullRankCertificate(1, (2,), 1, full))
+    for indices in [(0,), (1, 1), (5,)]:
+        assert not verify_span_certificate(x, FullRankCertificate(1, indices, 1, full))
+    assert not verify_span_certificate(x, FullRankCertificate(1, (1, 2), 1, full))  # two rows, rank 1
+    assert not verify_span_certificate(x, FullRankCertificate(3, (1,), 1, full))  # no mode 3
+
+
 def test_span_certificate_rejects_wrong_indices():
     x = counterexample_2x3x4()
     _, cert = extract_max_tucker(x)
@@ -410,6 +422,14 @@ def _counting(rf):
         return rf.evaluator(x)
 
     return RankFunction(rf.name, evaluator, shape_bound=rf.shape_bound), calls
+
+
+def test_brute_force_evaluates_x_once_when_its_walk_reaches_the_full_selection():
+    x = identity_tensor(3, 3)
+    rf, calls = _counting(max_tucker())
+    _, cert = extract_brute_force(rf, x)
+    assert cert.selection.result_shape() == x.shape and cert.rank == 3
+    assert len(calls) > 1 and calls.count(x.shape) == 1  # rf(x) for the ceiling, reused
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 8), (8, 8, 8, 8)])

@@ -1,19 +1,16 @@
 """n-rank and the max/submax scalar rank functions."""
-import tracemalloc
+import weakref
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenrank.ranks
 
 from tenrank import (
-    CapacityError,
     DenseTensor,
     RankFunction,
     RankTolerance,
-    extract_brute_force,
     identity_tensor,
     max_tucker,
     max_tucker_rank,
@@ -28,7 +25,6 @@ from tenrank.generators import (
     matrix_embedded,
     random_rank_one,
     random_tensor,
-    tucker_structured,
     zero_tensor,
 )
 from tenrank.ranks import _submax
@@ -99,11 +95,10 @@ def test_embedded_matrix_nrank_profile():
     assert all(r <= 1 for r in ranks[2:])
 
 
-def test_rank_function_wrappers_and_cache():
+def test_rank_function_wrappers():
     rmax = max_tucker()
     x = counterexample_2x3x4()
     assert rmax(x) == 4
-    assert rmax(x) == 4  # cached path
     assert rmax.declared_properties == frozenset({"proper", "subadditive"})
     rsub = submax_tucker()
     assert rsub.declared_properties == frozenset({"proper", "strongly_proper"})
@@ -193,7 +188,7 @@ def counting_n_rank(monkeypatch):
     return calls
 
 
-def test_min_of_tucker_ranks_takes_one_n_rank_per_new_tensor(monkeypatch):
+def test_min_of_tucker_ranks_takes_one_n_rank_per_call(monkeypatch):
     calls = counting_n_rank(monkeypatch)
     rmax, rsub = max_tucker(), submax_tucker()
     combined = min_rank(rmax, rsub)
@@ -203,7 +198,7 @@ def test_min_of_tucker_ranks_takes_one_n_rank_per_new_tensor(monkeypatch):
     for rf in (combined, nested):
         calls.clear()
         values = [rf(t) for t in tensors + tensors]
-        assert len(calls) == len(tensors)
+        assert len(calls) == 2 * len(tensors)
         assert values == [min(n_rank(t).max_rank, n_rank(t).submax_rank) for t in tensors + tensors]
 
 
@@ -216,42 +211,16 @@ def test_min_rank_of_other_pairs_evaluates_both(monkeypatch):
     ]
     x = random_tensor((3, 3, 4), seed=1)
     for r1, r2 in pairs:
+        expected = min(r1(x), r2(x))
         calls.clear()
-        assert min_rank(r1, r2)(x) == min(r1(x), r2(x))
+        assert min_rank(r1, r2)(x) == expected
         assert len(calls) == 2
 
 
-def test_memo_stays_within_its_byte_budget_on_a_budget_length_search():
+def test_rank_function_keeps_no_reference_to_its_argument():
     rf = max_tucker()
-    budget = RankFunction._CACHE_BYTES
-    seen, evaluated = [], []
-    plain = rf.evaluator
-
-    def evaluator(y):
-        seen.append(rf._cache_bytes)  # the memo as the previous call left it
-        evaluated.append(y.data.nbytes)
-        return plain(y)
-
-    rf.evaluator = evaluator
-    with pytest.raises(CapacityError, match="budget"):
-        extract_brute_force(rf, tucker_structured((8, 8, 8, 8), (8, 8, 1, 1), seed=0))
-    assert sum(evaluated) > 2 * budget  # the search would overflow an unbounded memo
-    assert max(seen + [rf._cache_bytes]) <= budget
-    assert rf._cache_bytes == sum(t.data.nbytes + rf._ENTRY_BYTES for t in rf._cache)
-
-
-def test_memo_of_one_entry_tensors_stays_within_its_byte_budget():
-    # each entry keeps far more than its 8 data bytes alive; the memo counts that too
-    rf = RankFunction("one", lambda x: 1)
-    rf._CACHE_BYTES = budget = 1 << 20
-    values = np.arange(1.0, 3 * budget / rf._ENTRY_BYTES).tolist()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        for v in values:
-            rf(DenseTensor([[v]]))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert len(values) > 2 * len(rf._cache)  # the memo was emptied on the way
-    assert peak <= budget
+    x = random_tensor((2, 3, 4), seed=0)
+    assert rf(x) == 4
+    ref = weakref.ref(x.data)  # DenseTensor has slots and no weak references; its entries do
+    del x
+    assert ref() is None

@@ -338,6 +338,14 @@ def test_scale_add_norm_trivia():
         add(x, random_tensor((3, 2), seed=7))
 
 
+def test_adding_or_subtracting_a_non_tensor_raises_type_error():
+    x = DenseTensor([1.0, 2.0])
+    with pytest.raises(TypeError):
+        x + 1.0
+    with pytest.raises(TypeError):
+        x - 1.0
+
+
 def test_subtraction_has_the_bits_of_adding_the_negation():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 5, 3)) * 10.0 ** rng.integers(-310, 300, size=(4, 5, 3))
