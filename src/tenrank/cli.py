@@ -169,9 +169,9 @@ def _cmd_fullrank(args) -> int:
     doc = cert.to_json()
     doc["rank_function"] = rf.name
     doc["tolerance"] = tol.describe()
-    print(json.dumps(doc, indent=2))
-    if args.out_subtensor:
+    if args.out_subtensor:  # first, so a failed write prints no certificate
         write_tensor(sub, args.out_subtensor)
+    print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 

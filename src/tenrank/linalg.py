@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["RankTolerance", "RowBasis", "DEFAULT_TOL", "matrix_rank", "row_basis", "in_row_span"]
+__all__ = ["RankTolerance", "RowBasis", "DEFAULT_TOL", "matrix_rank", "row_basis"]
 
 _EPS = float(np.finfo(np.float64).eps)
 # the smallest normal float64, 2**-1022.  Above it, factor * sigma rounds below
@@ -218,15 +218,3 @@ def _select_rows(
             f"row selection lost rank on {shape[0]}x{shape[1]} matrix (target {r})"
         )
     return RowBasis(indices=indices, rank=r)
-
-
-def in_row_span(M, basis: RowBasis, v, tol: RankTolerance = DEFAULT_TOL) -> bool:
-    """True iff appending v to the basis rows does not raise numerical rank."""
-    A = _as_matrix(M)
-    w = np.asarray(v, dtype=np.float64).reshape(-1)
-    if w.size != A.shape[1]:
-        raise ValueError(f"vector length {w.size} != column count {A.shape[1]}")
-    if basis.rank == 0:
-        return matrix_rank(w.reshape(1, -1), tol) == 0
-    rows = A[[i - 1 for i in basis.indices]]
-    return matrix_rank(np.vstack([rows, w]), tol) == basis.rank

@@ -272,6 +272,9 @@ class SweepConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not all(isinstance(v, (tuple, list)) for v in (self.r_values, self.mode1_caps)):
             raise ValueError("r_values and mode1_caps must be lists")
+        for name in ("r_values", "mode1_caps"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} is empty, so the sweep has no fits")
         tail_min = min(self.shape[1:])
         for r in self.r_values:
             if not _is_int(r):

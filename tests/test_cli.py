@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tenrank
-from tenrank import max_tucker_rank, n_rank, read_tensor, scale, write_tensor
+from tenrank import max_tucker_rank, n_rank, read_tensor, scale, subtensor, write_tensor
 from tenrank.cli import GENERATORS, main
 from tenrank.generators import tucker_structured
 
@@ -84,6 +84,26 @@ def test_fullrank_fast_and_brute_agree(tmp_path, capsys):
     fast, brute = json.loads(fast_out), json.loads(brute_out)
     assert fast["rank"] == brute["rank"] == 4
     assert fast["mode"] == 3
+
+
+def test_fullrank_writes_the_certified_subtensor(tmp_path, capsys):
+    x = tucker_structured((6, 7, 8), (2, 3, 2), seed=1)  # max 3 in mode 2: rows dropped
+    f, s = tmp_path / "x.tns", tmp_path / "s.tns"
+    write_tensor(x, f)
+    code, out, err = run(capsys, "fullrank", str(f), "--out-subtensor", str(s))
+    assert code == 0, err
+    doc = json.loads(out)
+    written = read_tensor(s)
+    assert written == subtensor(x, tenrank.IndexSelection.of(*doc["selection"]))
+    assert (doc["mode"], written.shape) == (2, (6, 3, 8))
+
+
+def test_fullrank_prints_no_certificate_when_the_subtensor_write_fails(tmp_path, capsys):
+    f = tmp_path / "x.tns"
+    write_tensor(tucker_structured((6, 7, 8), (2, 3, 2), seed=1), f)
+    code, out, err = run(capsys, "fullrank", str(f), "--out-subtensor", str(tmp_path / "missing" / "s.tns"))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("factor", [1e200, 1e-250])
@@ -193,6 +213,17 @@ def test_sweep_config_rejects_non_integer_grid_values(tmp_path, capsys, field):
     assert code == 3
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["r_values", "mode1_caps"])
+def test_sweep_config_rejects_an_empty_grid(tmp_path, capsys, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"shape": [10, 4, 4], "r_values": [1, 2], "core_shape": [3, 2, 2], field: []}))
+    out = tmp_path / "a.csv"
+    code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out), "--no-timing")
+    assert (code, stdout) == (3, "")
+    assert err == f"error: {cfg}: {field} is empty, so the sweep has no fits\n"
     assert not out.exists()
 
 

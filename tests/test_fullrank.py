@@ -8,6 +8,7 @@ import pytest
 from tenrank import (
     CapacityError,
     DenseTensor,
+    FullRankCertificate,
     IndexSelection,
     NoFullRankError,
     NRank,
@@ -21,12 +22,14 @@ from tenrank import (
     extract_nrank,
     identity_tensor,
     is_full_rank,
+    matrix_rank,
     max_tucker,
     max_tucker_rank,
     min_rank,
     n_rank,
     row_basis,
     scale,
+    standard_fixtures,
     submax_tucker,
     subtensor,
     unfold,
@@ -125,6 +128,57 @@ def test_span_certificate_rejects_wrong_indices():
 
     bad = FullRankCertificate(3, (1, 2), 2, cert.selection)
     assert not verify_span_certificate(x, bad)
+
+
+def _per_row_span_check(x, cert):
+    """The span check as one rank per dropped row: the kept p-rows have rank
+    r, and each dropped p-row appended to them leaves it r."""
+    M = unfold(x, cert.mode)
+    kept = [i - 1 for i in cert.indices]
+    if matrix_rank(M[kept]) != cert.rank:
+        return False
+    return all(matrix_rank(M[kept + [q]]) == cert.rank for q in range(M.shape[0]) if q not in kept)
+
+
+def _verdict(check, x, cert):
+    try:
+        return check(x, cert)
+    except ValueError:  # no kept row leaves no matrix to factor
+        return ValueError
+
+
+def test_two_rank_span_check_agrees_with_the_per_row_check_on_every_row_subset():
+    # every subset, at every size, of the rows of the mode of each max and
+    # submax certificate on the seed-101 battery fixtures
+    cases = []
+    for fixture in standard_fixtures(seed=101).tensors:
+        x = fixture.tensor
+        for rf in (max_tucker(), submax_tucker()):
+            _, cert = extract_nrank(rf, x)
+            if cert.mode is None:
+                continue
+            n = x.shape[cert.mode - 1]
+            for size in range(n + 1):
+                for kept in itertools.combinations(range(1, n + 1), size):
+                    cases.append((x, FullRankCertificate(cert.mode, kept, size, cert.selection)))
+    assert len(cases) == 10_888
+    verdicts = [_verdict(verify_span_certificate, x, cert) for x, cert in cases]
+    assert verdicts == [_verdict(_per_row_span_check, x, cert) for x, cert in cases]
+    assert (verdicts.count(True), verdicts.count(ValueError)) == (1342, 452)
+
+
+def test_a_certificate_with_no_mode_holds_on_a_zero_subtensor_only():
+    tol = RankTolerance("absolute", 100.0)
+    x = DenseTensor([[0.0, 2.0], [3.0, 4.0]])
+    for rf in (max_tucker(tol), submax_tucker(tol)):
+        for extract in (extract_nrank, extract_brute_force):
+            _, cert = extract(rf, x)
+            assert cert == FullRankCertificate(None, (), 0, IndexSelection.of((1,), (1,)))
+            assert verify_span_certificate(x, cert, tol)
+    assert not verify_span_certificate(x, FullRankCertificate(None, (), 0, IndexSelection.of((1,), (2,))))
+    assert not verify_span_certificate(x, FullRankCertificate(None, (), 1, IndexSelection.of((1,), (1,))))
+    assert not verify_span_certificate(x, FullRankCertificate(None, (), 0, IndexSelection.of((3,), (1,))))
+    assert verify_span_certificate(zero_tensor((2, 3)), FullRankCertificate(None, (), 0, IndexSelection.full((2, 3))))
 
 
 def test_enumeration_order_is_documented_one():
@@ -546,6 +600,7 @@ def test_extract_nrank_at_value_zero_returns_a_zero_entry_as_brute_force_does(ma
     assert sub.is_zero() and sub.shape == (1, 1, 1)
     assert subtensor(x, cert.selection) == sub
     assert cert.selection.indices == ((1,), (1,), (2,))  # the first zero entry in C order
+    assert verify_span_certificate(x, cert, tol) and verify_span_certificate(x, brute, tol)
 
 
 @pytest.mark.parametrize("tol", ZERO_RANK_TOLS, ids=lambda t: t.describe())

@@ -1,4 +1,4 @@
-"""Numerical rank, row bases, span tests.
+"""Numerical rank and row bases.
 
 The independent oracle for integer matrices is exact Gaussian elimination
 over fractions, immune to floating-point thresholds.
@@ -10,7 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenrank import DenseTensor, RankTolerance, RowBasis, identity_tensor, in_row_span, matrix_rank, n_rank, row_basis
+from tenrank import (
+    DenseTensor,
+    FullRankCertificate,
+    IndexSelection,
+    RankTolerance,
+    RowBasis,
+    identity_tensor,
+    matrix_rank,
+    n_rank,
+    row_basis,
+    verify_span_certificate,
+)
 from tenrank.linalg import _reduce
 
 
@@ -145,30 +156,6 @@ def test_row_basis_deterministic():
     assert row_basis(M) == row_basis(M.copy())
 
 
-def test_in_row_span_cases():
-    M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    basis = row_basis(M[:2])
-    assert in_row_span(M[:2], basis, M[0])
-    assert in_row_span(M[:2], basis, M[0] + M[1])
-    assert not in_row_span(M[:2], basis, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        in_row_span(M[:2], basis, np.ones(4))
-
-
-def test_in_row_span_orthogonal_residual():
-    rng = np.random.default_rng(11)
-    M = rng.standard_normal((3, 5))
-    basis = row_basis(M)
-    # build a vector orthogonal to the row space by Gram-Schmidt
-    v = rng.standard_normal(5)
-    for row in M:
-        q = row / np.linalg.norm(row)
-        v = v - (v @ q) * q
-    q, _ = np.linalg.qr(M.T)
-    v = v - q @ (q.T @ v)
-    assert not in_row_span(M, basis, v)
-
-
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
         matrix_rank(np.zeros((0, 3)))
@@ -283,7 +270,7 @@ def test_rank_when_sigma_max_overflows(cols):
     # the default threshold, max(rows, cols) * eps * sigma_max, falls between sigma_4 and sigma_3
     assert matrix_rank(M) == 3
     assert row_basis(M) == RowBasis(indices=(1, 2, 3), rank=3)
-    assert in_row_span(M, row_basis(M), M[3])
+    assert verify_span_certificate(DenseTensor(M), FullRankCertificate(1, (1, 2, 3), 3, IndexSelection.full(M.shape)))
     # an absolute threshold keeps its meaning on the rescaled matrix
     assert matrix_rank(M, RankTolerance("absolute", 10 * sigma[2])) == 2
     assert matrix_rank(M, RankTolerance("absolute", 10 * sigma[3])) == 3

@@ -227,6 +227,9 @@ def test_sweep_config_validation():
     for bad in [{"r_values": (2.5,)}, {"r_values": (True,)}, {"mode1_caps": (True,)}, {"mode1_caps": (5.0,)}]:
         with pytest.raises(ValueError):
             SweepConfig(shape=(10, 4, 4), **{"r_values": (2,), **bad}).validate()
+    for field in ("r_values", "mode1_caps"):
+        with pytest.raises(ValueError, match=f"^{field} is empty"):
+            SweepConfig(shape=(10, 4, 4), **{"r_values": (2,), field: ()}).validate()
     SweepConfig(shape=(10, 4, 4), r_values=(np.int64(2),), mode1_caps=(np.int64(5),)).validate()
     with pytest.raises(ValueError):
         run_sweep(SweepConfig(shape=(10, 4, 4), r_values=(2,), mode1_caps=("r",)), random_tensor((9, 4, 4), seed=0))
