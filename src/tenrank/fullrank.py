@@ -55,8 +55,8 @@ SEARCH_BUDGET = 1 << 15
 class FullRankCertificate:
     """Where and why a subtensor is of full rank.
 
-    ``mode`` is the mode p with rank == dimension (None for the zero-tensor
-    convention), ``indices`` the kept mode-p indices of the source tensor,
+    ``mode`` is the mode p with rank == dimension (None for a zero subtensor
+    of value 0), ``indices`` the kept mode-p indices of the source tensor,
     ``selection`` the complete per-mode selection of the subtensor.
     """
 
@@ -188,13 +188,16 @@ def verify_span_certificate(
     rows were dropped.  A certificate that names no mode of x, or whose kept
     indices are not ``cert.rank`` strictly increasing p-rows of x, is
     refused.  One with no mode, as the extractors give at value 0, holds when
-    its rank is 0, it keeps no index, and its selection picks out a zero
-    subtensor of x."""
+    its rank is 0, it keeps no index, its selection picks out a zero
+    subtensor of x, and some unfolding of x has rank 0 under ``tol``, as a
+    rule on the n-rank is 0 only then."""
     if cert.mode is None:
         try:
-            return cert.rank == 0 and not cert.indices and subtensor(x, cert.selection).is_zero()
+            if cert.rank or cert.indices or not subtensor(x, cert.selection).is_zero():
+                return False
         except SelectionError:
             return False
+        return 0 in n_rank(x, tol).ranks
     if not 1 <= cert.mode <= x.order:
         return False
     bounds = (0, *cert.indices, x.shape[cert.mode - 1] + 1)  # 0 < i_1 < ... < n + 1
