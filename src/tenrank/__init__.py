@@ -19,7 +19,6 @@ from .tensor import (
 from .io import read_tensor, write_tensor
 from .linalg import DEFAULT_TOL, RankTolerance, RowBasis, matrix_rank, row_basis
 from .ranks import (
-    NRank,
     RankFunction,
     max_tucker,
     max_tucker_rank,

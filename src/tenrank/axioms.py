@@ -35,7 +35,7 @@ import numpy as np
 
 from . import generators as gen
 from .linalg import DEFAULT_TOL, RankTolerance, matrix_rank
-from .ranks import NRank, RankFunction, n_rank, _submax
+from .ranks import RankFunction, n_rank, _submax
 from .tensor import DenseTensor, IndexSelection, add, identity_tensor, permute_modes, scale, subtensor
 
 __all__ = [
@@ -113,11 +113,11 @@ class FixtureSet:
             yield kept[k]
 
     def unfolding_ranks(self, x: DenseTensor, tol: RankTolerance) -> tuple[int, ...]:
-        """n_rank(x, tol).ranks, computed once per tolerance and tensor."""
+        """n_rank(x, tol), computed once per tolerance and tensor."""
         memo = self._n_ranks.setdefault(tol, {})
         ranks = memo.get(x)
         if ranks is None:
-            ranks = memo[x] = n_rank(x, tol).ranks
+            ranks = memo[x] = n_rank(x, tol)
         return ranks
 
 
@@ -368,26 +368,23 @@ def _check(name: str, cases) -> PropertyResult:
     return PropertyResult(name, True, checks)
 
 
-def axiom_report(
-    rf: RankFunction,
-    fixtures: FixtureSet | None = None,
-    tol: RankTolerance = DEFAULT_TOL,
-) -> AxiomReport:
-    """Run every check against the fixture set and collect per-property results."""
+def axiom_report(rf: RankFunction, fixtures: FixtureSet | None = None) -> AxiomReport:
+    """Run every check against the fixture set and collect per-property results.
+
+    P1's converse and P3 compare with unfolding and matrix ranks under rf's
+    own tolerance when rf is a rule on the n-rank, and under DEFAULT_TOL
+    otherwise; the report records which.  A rule on the n-rank is evaluated
+    from the set's memo, as :func:`min_rank` does, so every such function on
+    the set shares one n-rank per tensor and tolerance.
+    """
     fx = fixtures if fixtures is not None else standard_fixtures()
-    shared = _shared_rank(rf, fx)
+    if rf._nrank_rule is None:
+        shared, tol = rf, DEFAULT_TOL
+    else:
+        rule, tol = rf._nrank_rule
+        shared = lambda x: rule(fx.unfolding_ranks(x, tol))
     results = [_check(name, cases(shared, fx, tol)) for name, cases in PROPERTIES.items()]
     return AxiomReport(rank_function=rf.name, tol=tol, results=results)
-
-
-def _shared_rank(rf: RankFunction, fx: FixtureSet):
-    """rf as the battery evaluates it.  A rule on the n-rank reads the set's
-    memo, as :func:`min_rank` does, so every such function on the set shares
-    one n-rank per tensor and tolerance; anything else is rf itself."""
-    if rf._nrank_rule is None:
-        return rf
-    rule, tol = rf._nrank_rule
-    return lambda x: rule(NRank(fx.unfolding_ranks(x, tol), tol))
 
 
 def write_report(report: AxiomReport, json_path, witness_dir=None) -> dict:

@@ -155,8 +155,7 @@ def _cmd_rank(args) -> int:
 def _cmd_nrank(args) -> int:
     tol = _tolerance(args)
     x = read_tensor(args.file)
-    ranks = n_rank(x, tol).ranks
-    print("nrank=" + ",".join(str(r) for r in ranks))
+    print("nrank=" + ",".join(map(str, n_rank(x, tol))))
     print(f"tol: {tol.describe()}", file=sys.stderr)
     return EXIT_OK
 
@@ -188,7 +187,7 @@ def _cmd_axioms(args) -> int:
     tol = _tolerance(args)
     rf = RANK_FUNCTIONS[args.fn](tol)
     fixtures = standard_fixtures(seed=args.seed, random_count=args.count)
-    report = axiom_report(rf, fixtures, tol)
+    report = axiom_report(rf, fixtures)
     doc = write_report(report, args.out, args.witness_dir)
     if args.out is None:
         print(json.dumps(doc, indent=2))

@@ -92,7 +92,7 @@ def cp_bounds(
     """
     if x.order < 2:
         raise ValueError("CP bounds need order >= 2")
-    ranks = n_rank(x, tol).ranks
+    ranks = n_rank(x, tol)
     lower = max(ranks)
     upper: int | None = None
     if sum(r > 1 for r in ranks) <= 2:

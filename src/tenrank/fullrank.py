@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, NoFullRankError, NumericError, SelectionError
 from .linalg import DEFAULT_TOL, RankTolerance, _reduce, _select_rows, matrix_rank
-from .ranks import NRank, RankFunction, max_tucker, n_rank
+from .ranks import RankFunction, max_tucker, n_rank
 from .tensor import DenseTensor, IndexSelection, subtensor, unfold
 
 __all__ = [
@@ -58,6 +58,12 @@ class FullRankCertificate:
     ``mode`` is the mode p with rank == dimension (None for a zero subtensor
     of value 0), ``indices`` the kept mode-p indices of the source tensor,
     ``selection`` the complete per-mode selection of the subtensor.
+
+    :func:`extract_nrank` gives span certificates: its selection keeps every
+    mode but p whole, and :func:`verify_span_certificate` checks them.
+    :func:`extract_brute_force`'s certificates name the first mode of the
+    selected subtensor whose dimension is the value, inside a selection that
+    may drop indices of other modes too, so that check refuses them.
     """
 
     mode: int | None
@@ -151,7 +157,7 @@ def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRa
         return _zero_certificate(x, (0,) * x.order)
     reduced = [_reduce(unfold(x, j), tol) for j in range(1, x.order + 1)]
     ranks = tuple(rank for _, rank, _ in reduced)
-    r = rule(NRank(ranks, tol))
+    r = rule(ranks)
     if r == 0:
         return _at_value_zero(rf, x)
     q = ranks.index(r) + 1
@@ -185,20 +191,21 @@ def verify_span_certificate(
     independent and span every other p-row.  For the mode-p unfolding M that
     is rank(M[kept]) = r = rank(M), as in exact arithmetic r independent rows
     span every row exactly when M has rank r; M itself is factored only when
-    rows were dropped.  A certificate that names no mode of x, or whose kept
-    indices are not ``cert.rank`` strictly increasing p-rows of x, is
-    refused.  One with no mode, as the extractors give at value 0, holds when
-    its rank is 0, it keeps no index, its selection picks out a zero
-    subtensor of x, and some unfolding of x has rank 0 under ``tol``, as a
-    rule on the n-rank is 0 only then."""
+    rows were dropped.  A certificate that names no mode of x, has a mode and
+    rank 0 (value 0 has no mode, so a mode claims its dimension, at least 1),
+    or whose kept indices are not ``cert.rank`` strictly increasing p-rows of
+    x, is refused.  One with no mode, as the extractors give at value 0,
+    holds when its rank is 0, it keeps no index, its selection picks out a
+    zero subtensor of x, and some unfolding of x has rank 0 under ``tol``, as
+    a rule on the n-rank is 0 only then."""
     if cert.mode is None:
         try:
             if cert.rank or cert.indices or not subtensor(x, cert.selection).is_zero():
                 return False
         except SelectionError:
             return False
-        return 0 in n_rank(x, tol).ranks
-    if not 1 <= cert.mode <= x.order:
+        return 0 in n_rank(x, tol)
+    if not 1 <= cert.mode <= x.order or cert.rank == 0:
         return False
     bounds = (0, *cert.indices, x.shape[cert.mode - 1] + 1)  # 0 < i_1 < ... < n + 1
     if len(cert.indices) != cert.rank or any(a >= b for a, b in zip(bounds, bounds[1:])):

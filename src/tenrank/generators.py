@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
 from .ranks import n_rank
 from .tensor import DenseTensor, fold, mode_products, outer_product
 
@@ -98,7 +97,7 @@ def _block_with_ranks(dims, target_ranks, rng) -> DenseTensor:
             for n, r in zip(dims, target_ranks)
         ]
         x = mode_products(core, factors)
-        if n_rank(x, DEFAULT_TOL).ranks == tuple(target_ranks):
+        if n_rank(x) == tuple(target_ranks):
             return x
     raise RuntimeError(f"could not realize unfolding ranks {target_ranks} in dims {dims}")
 

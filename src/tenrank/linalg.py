@@ -195,7 +195,15 @@ def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
 def _select_rows(
     shape: tuple[int, int], B: np.ndarray, r: int, exp: int, tol: RankTolerance
 ) -> RowBasis:
-    """:func:`row_basis` of a ``shape`` matrix from its reduction by :func:`_reduce`."""
+    """:func:`row_basis` of a ``shape`` matrix from its reduction by :func:`_reduce`.
+
+    When r is the row count every row is kept, as the reduction found their
+    rank.  Elimination stops early when no residual is left, which happens
+    when the tolerance counts a singular value that is not above rounding;
+    the final check then fails on fewer than r rows.
+    """
+    if r == shape[0]:
+        return RowBasis(indices=tuple(range(1, r + 1)), rank=r)
     # C order as in a plain copy, so BLAS sums in the same order and exact ties
     # break the same way
     resid = np.ldexp(B, -np.frexp(np.max(np.abs(B)))[1], order="C")
@@ -204,6 +212,8 @@ def _select_rows(
     for _ in range(r):
         norms = np.linalg.norm(resid, axis=1)
         k = int(np.argmax(norms))  # first maximum -> smallest index on ties
+        if norms[k] == 0.0:
+            break
         q = resid[k] / norms[k]
         for prev in basis_vecs:  # re-orthogonalization pass against drift
             q = q - (q @ prev) * prev

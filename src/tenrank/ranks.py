@@ -7,14 +7,12 @@ multiplicity.  Both are evaluated at a fixed :class:`RankTolerance`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .linalg import DEFAULT_TOL, RankTolerance, _reduce, _shape_rank
 from .tensor import DenseTensor, unfold
 
 __all__ = [
-    "NRank",
     "RankFunction",
     "n_rank",
     "max_tucker_rank",
@@ -32,24 +30,8 @@ def _submax(values: Iterable[int]) -> int:
     return ordered[1] if len(ordered) > 1 else ordered[0]
 
 
-@dataclass(frozen=True)
-class NRank:
-    """The per-mode unfolding ranks together with the tolerance that produced them."""
-
-    ranks: tuple[int, ...]
-    tol: RankTolerance
-
-    @property
-    def max_rank(self) -> int:
-        return max(self.ranks)
-
-    @property
-    def submax_rank(self) -> int:
-        return _submax(self.ranks)
-
-
-def n_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> NRank:
-    """Matrix rank of every mode-j unfolding.
+def n_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> tuple[int, ...]:
+    """Matrix rank of every mode-j unfolding, as a tuple in mode order.
 
     Two cases need no factorization and give the ranks an SVD would: every
     unfolding of a zero tensor has rank 0, and the unfoldings of a nonzero
@@ -59,20 +41,20 @@ def n_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> NRank:
     :func:`matrix_rank` makes on matrices from outside.
     """
     if x.is_zero():
-        return NRank(ranks=(0,) * x.order, tol=tol)
+        return (0,) * x.order
     ranks = []
     for j, n in enumerate(x.shape, start=1):
         r = _shape_rank((n, x.size // n), tol)
         ranks.append(_reduce(unfold(x, j), tol)[1] if r is None else r)
-    return NRank(ranks=tuple(ranks), tol=tol)
+    return tuple(ranks)
 
 
 def max_tucker_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> int:
-    return n_rank(x, tol).max_rank
+    return max(n_rank(x, tol))
 
 
 def submax_tucker_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> int:
-    return n_rank(x, tol).submax_rank
+    return _submax(n_rank(x, tol))
 
 
 class RankFunction:
@@ -88,7 +70,7 @@ class RankFunction:
     """
 
     # (rule, tol) when the value is rule(n_rank(x, tol)); see min_rank
-    _nrank_rule: tuple[Callable[[NRank], int], RankTolerance] | None = None
+    _nrank_rule: tuple[Callable[[tuple[int, ...]], int], RankTolerance] | None = None
 
     def __init__(
         self,
@@ -115,7 +97,10 @@ def _unfolding_bounds(shape: tuple[int, ...]) -> list[int]:
 
 
 def _from_n_rank(
-    name: str, rule: Callable[[NRank], int], tol: RankTolerance, declared_properties: Iterable[str]
+    name: str,
+    rule: Callable[[tuple[int, ...]], int],
+    tol: RankTolerance,
+    declared_properties: Iterable[str],
 ) -> RankFunction:
     """The rank function x -> rule(n_rank(x, tol)), with its rule and tol kept.
 
@@ -126,7 +111,7 @@ def _from_n_rank(
         name,
         lambda x: rule(n_rank(x, tol)),
         declared_properties,
-        lambda shape: rule(NRank(_unfolding_bounds(shape), tol)),
+        lambda shape: rule(_unfolding_bounds(shape)),
     )
     rf._nrank_rule = (rule, tol)
     return rf
@@ -134,12 +119,12 @@ def _from_n_rank(
 
 def max_tucker(tol: RankTolerance = DEFAULT_TOL) -> RankFunction:
     """Max-Tucker rank: the largest unfolding rank.  Proper and subadditive."""
-    return _from_n_rank("max_tucker", lambda nr: nr.max_rank, tol, ("proper", "subadditive"))
+    return _from_n_rank("max_tucker", max, tol, ("proper", "subadditive"))
 
 
 def submax_tucker(tol: RankTolerance = DEFAULT_TOL) -> RankFunction:
     """Submax-Tucker rank: the second-largest unfolding rank.  Strongly proper."""
-    return _from_n_rank("submax_tucker", lambda nr: nr.submax_rank, tol, ("proper", "strongly_proper"))
+    return _from_n_rank("submax_tucker", _submax, tol, ("proper", "strongly_proper"))
 
 
 def min_rank(r1: RankFunction, r2: RankFunction) -> RankFunction:
@@ -159,7 +144,7 @@ def min_rank(r1: RankFunction, r2: RankFunction) -> RankFunction:
     name = f"min({r1.name},{r2.name})"
     if r1._nrank_rule and r2._nrank_rule and r1._nrank_rule[1] == r2._nrank_rule[1]:
         (rule1, tol), (rule2, _) = r1._nrank_rule, r2._nrank_rule
-        return _from_n_rank(name, lambda nr: min(rule1(nr), rule2(nr)), tol, declared)
+        return _from_n_rank(name, lambda ranks: min(rule1(ranks), rule2(ranks)), tol, declared)
     if r1.shape_bound and r2.shape_bound:
         bound = lambda shape: min(r1.shape_bound(shape), r2.shape_bound(shape))
     else:

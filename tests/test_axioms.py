@@ -70,8 +70,8 @@ def test_submax_declared_confirmed(submax_report):
 def test_block_pair_witness_is_verified():
     # the pair's rank profile is the one the construction promises
     y, z = block_pair(seed=0)
-    assert n_rank(y).ranks == (4, 3, 2)
-    assert n_rank(z).ranks == (3, 4, 2)
+    assert n_rank(y) == (4, 3, 2)
+    assert n_rank(z) == (3, 4, 2)
     assert submax_tucker_rank(y + z) > submax_tucker_rank(y) + submax_tucker_rank(z)
 
 
@@ -166,7 +166,7 @@ NEGATIVE_CONTROLS = {
     "constant_two": lambda x: 2,
     "max_plus_one": lambda x: max_tucker_rank(x) + 1,
     "sign_of_first_entry": lambda x: max_tucker_rank(x) + int(x.data.flat[0] < 0),
-    "mode_1_rank": lambda x: n_rank(x).ranks[0],
+    "mode_1_rank": lambda x: n_rank(x)[0],
     "small_plus_one": lambda x: 0 if x.is_zero() else max_tucker_rank(x) + int(x.size < 4),
     "max_squared": lambda x: max_tucker_rank(x) ** 2,
 }
@@ -229,6 +229,17 @@ def test_reports_on_one_set_build_each_derived_tensor_once(monkeypatch):
 
 def _documents(rfs, fx_for):
     return [write_report(axiom_report(rf, fx_for()), None) for rf in rfs]
+
+
+def test_a_report_checks_under_the_rank_functions_own_tolerance():
+    # under the default tolerance P3 would expect the embedded matrix's rank 5
+    rf = max_tucker(RankTolerance("relative", 0.5))
+    report = axiom_report(rf, standard_fixtures(seed=0, random_count=20))
+    assert write_report(report, None)["tolerance"] == "relative:0.5"
+    assert report.result("P3").passed, report.result("P3").detail
+    # a rank function that is no rule on the n-rank is checked under the default
+    other = RankFunction("max", lambda x: max_tucker_rank(x, RankTolerance("relative", 0.5)))
+    assert axiom_report(other, standard_fixtures(seed=0, random_count=0)).tol == DEFAULT_TOL
 
 
 def test_the_shared_memo_never_leaks_between_functions_or_tolerances():

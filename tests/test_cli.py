@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ def test_gen_and_rank_parity(tmp_path, capsys):
     assert out.strip() == "nrank=2,3,4"
     x = read_tensor(f)
     assert max_tucker_rank(x) == 4
-    assert n_rank(x).ranks == (2, 3, 4)
+    assert n_rank(x) == (2, 3, 4)
 
 
 def test_gen_identity_and_nrank(tmp_path, capsys):
@@ -439,3 +440,21 @@ def test_binary_tensor_of_order_zero_is_rejected_like_text(tmp_path, capsys):
     t = tmp_path / "zero.tns"
     t.write_text("0\n")
     assert run(capsys, "nrank", str(t))[2].strip().endswith("order must be >= 1, got 0")
+
+
+@pytest.mark.parametrize("fn", ["max", "submax"])
+def test_fullrank_with_no_residual_left_is_a_numeric_error(tmp_path, capsys, fn):
+    # the seed-101 battery fixture random_076_3x2 has unfolding ranks (2, 2)
+    # under an absolute threshold of 0, one of them from a rounding residue
+    x = next(
+        f.tensor
+        for f in tenrank.standard_fixtures(seed=101, random_count=77).tensors
+        if f.name == "random_076_3x2"
+    )
+    path = tmp_path / "r76.tns"
+    write_tensor(x, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fullrank", str(path), "--fn", fn, "--tol-mode", "absolute", "--tol", "0")
+    assert (code, out) == (5, "")
+    assert err == "numeric error: row selection lost rank on 3x2 matrix (target 2)\n"

@@ -28,19 +28,19 @@ def test_counterexamples_are_parameter_free_and_stable():
 
 def test_rank_one_generator():
     x = random_rank_one((3, 2, 4), seed=5)
-    assert n_rank(x).ranks == (1, 1, 1)
+    assert n_rank(x) == (1, 1, 1)
 
 
 def test_tucker_structured_rank_profile():
     x = tucker_structured((6, 5, 4), (3, 2, 2), seed=1)
-    assert n_rank(x).ranks == (3, 2, 2)
+    assert n_rank(x) == (3, 2, 2)
 
 
 def test_block_pair_profiles():
     y, z = block_pair(seed=3)
     assert y.shape == z.shape == (8, 8, 8)
-    assert n_rank(y).ranks == (4, 3, 2)
-    assert n_rank(z).ranks == (3, 4, 2)
+    assert n_rank(y) == (4, 3, 2)
+    assert n_rank(z) == (3, 4, 2)
     # disjoint supports
     assert not np.any(y.data * z.data)
 

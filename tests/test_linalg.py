@@ -3,6 +3,7 @@
 The independent oracle for integer matrices is exact Gaussian elimination
 over fractions, immune to floating-point thresholds.
 """
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from tenrank import (
     DenseTensor,
     FullRankCertificate,
     IndexSelection,
+    NumericError,
     RankTolerance,
     RowBasis,
     identity_tensor,
@@ -143,6 +145,30 @@ def test_row_basis_projection_residual_oracle():
     for row in M:
         coef, *_ = np.linalg.lstsq(picked.T, row, rcond=None)
         assert np.linalg.norm(picked.T @ coef - row) < 1e-9
+
+
+def test_row_basis_keeps_every_row_of_full_row_rank_without_selecting(monkeypatch):
+    import tenrank.linalg
+
+    calls = []
+    rank = tenrank.linalg._rank
+    monkeypatch.setattr(tenrank.linalg, "_rank", lambda *args: calls.append(1) or rank(*args))
+    M = np.random.default_rng(5).standard_normal((4, 6))
+    assert row_basis(M) == RowBasis(indices=(1, 2, 3, 4), rank=4)
+    assert len(calls) == 1  # the reduction's rank, with no final check
+
+
+def test_row_basis_stops_when_no_residual_is_left():
+    # the seed-101 battery fixture random_076_3x2: singular values 0.12 and
+    # 1.8e-18, so rank 2 under an absolute threshold of 0, but the residual is
+    # exactly 0 once one row is picked
+    from tenrank import standard_fixtures
+
+    x = next(f.tensor for f in standard_fixtures(seed=101, random_count=77).tensors if f.name == "random_076_3x2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="row selection lost rank on 3x2 matrix"):
+            row_basis(x.data, RankTolerance("absolute", 0.0))
 
 
 def test_row_basis_zero_matrix():
@@ -348,7 +374,7 @@ def test_subnormal_sigma_max_keeps_rank_under_factors_below_one():
     assert matrix_rank(M, RankTolerance("relative", 1.0)) == 0
     assert row_basis(M, RankTolerance("relative", 1 - 2.0**-53)) == RowBasis((1, 2), 2)
     x = DenseTensor(5e-324 * identity_tensor(3, 2).data)
-    assert n_rank(x, RankTolerance("relative", 0.6)).ranks == (2, 2, 2)
+    assert n_rank(x, RankTolerance("relative", 0.6)) == (2, 2, 2)
 
 
 def test_absolute_thresholds_see_a_subnormal_matrix_unscaled():

@@ -2,9 +2,11 @@
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tenrank
 import tenrank.ranks
 
 from tenrank import (
@@ -32,9 +34,17 @@ from tenrank.ranks import _submax
 
 def test_counterexample_2x3x4_values():
     x = counterexample_2x3x4()
-    assert n_rank(x).ranks == (2, 3, 4)
+    assert n_rank(x) == (2, 3, 4)
     assert max_tucker_rank(x) == 4
     assert submax_tucker_rank(x) == 3
+
+
+def test_n_rank_is_a_plain_tuple_of_ints():
+    ranks = n_rank(counterexample_2x3x4())
+    assert type(ranks) is tuple and all(type(r) is int for r in ranks)
+    assert all(type(r) is int for r in n_rank(zero_tensor((2, 3))) + n_rank(DenseTensor([1.0])))
+    with pytest.raises(AttributeError):
+        tenrank.NRank
 
 
 def test_counterexample_3x2x2_values():
@@ -47,20 +57,20 @@ def test_counterexample_3x2x2_values():
 def test_identity_nrank_all_equal():
     for m in (2, 3, 4):
         x = identity_tensor(m, 3)
-        assert n_rank(x).ranks == (3,) * m
+        assert n_rank(x) == (3,) * m
         assert submax_tucker_rank(x) == 3
 
 
 def test_rank_one_nrank():
     x = random_rank_one((3, 4, 5), seed=2)
-    assert n_rank(x).ranks == (1, 1, 1)
+    assert n_rank(x) == (1, 1, 1)
     assert max_tucker_rank(x) == 1
     assert submax_tucker_rank(x) == 1
 
 
 def test_zero_tensor_ranks():
     z = zero_tensor((2, 5, 3))
-    assert n_rank(z).ranks == (0, 0, 0)
+    assert n_rank(z) == (0, 0, 0)
     assert max_tucker_rank(z) == 0
     assert submax_tucker_rank(z) == 0
 
@@ -90,7 +100,7 @@ def test_embedded_matrix_nrank_profile():
     # r1 = r2 and every later unfolding has rank <= 1
     rng = np.random.default_rng(9)
     x = matrix_embedded(rng.standard_normal((4, 5)), trailing_ones=2)
-    ranks = n_rank(x).ranks
+    ranks = n_rank(x)
     assert ranks[0] == ranks[1]
     assert all(r <= 1 for r in ranks[2:])
 
@@ -163,7 +173,7 @@ def reference_n_rank(x, tol):
 def test_n_rank_matches_the_plain_per_mode_svd_count(shape, seed, zeros, k, tol):
     rng = np.random.default_rng(seed)
     x = DenseTensor(rng.standard_normal(shape) * (rng.random(shape) >= zeros) * 10.0**k)
-    assert n_rank(x, tol).ranks == reference_n_rank(x, tol)
+    assert n_rank(x, tol) == reference_n_rank(x, tol)
 
 
 def test_n_rank_factors_nothing_for_zero_tensors_and_vector_unfoldings(monkeypatch):
@@ -171,9 +181,9 @@ def test_n_rank_factors_nothing_for_zero_tensors_and_vector_unfoldings(monkeypat
         raise AssertionError("SVD called")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    assert n_rank(zero_tensor((2, 3, 4))).ranks == (0, 0, 0)
-    assert n_rank(DenseTensor(np.arange(1.0, 6.0).reshape(1, 5, 1))).ranks == (1, 1, 1)
-    assert n_rank(DenseTensor([0.0, 2.0, 0.0])).ranks == (1,)
+    assert n_rank(zero_tensor((2, 3, 4))) == (0, 0, 0)
+    assert n_rank(DenseTensor(np.arange(1.0, 6.0).reshape(1, 5, 1))) == (1, 1, 1)
+    assert n_rank(DenseTensor([0.0, 2.0, 0.0])) == (1,)
 
 
 def counting_n_rank(monkeypatch):
@@ -199,7 +209,7 @@ def test_min_of_tucker_ranks_takes_one_n_rank_per_call(monkeypatch):
         calls.clear()
         values = [rf(t) for t in tensors + tensors]
         assert len(calls) == 2 * len(tensors)
-        assert values == [min(n_rank(t).max_rank, n_rank(t).submax_rank) for t in tensors + tensors]
+        assert values == [min(max(n_rank(t)), _submax(n_rank(t))) for t in tensors + tensors]
 
 
 def test_min_rank_of_other_pairs_evaluates_both(monkeypatch):
