@@ -17,7 +17,7 @@ from .tensor import (
     unfold,
 )
 from .io import read_tensor, write_tensor
-from .linalg import DEFAULT_TOL, RankTolerance, RowBasis, matrix_rank, row_basis
+from .linalg import DEFAULT_TOL, RankTolerance, matrix_rank, row_basis
 from .ranks import (
     RankFunction,
     max_tucker,

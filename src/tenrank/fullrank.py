@@ -145,10 +145,12 @@ def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRa
     tolerance, is raised, as :func:`extract_brute_force` does.
 
     Each unfolding is factored once, mode q's reduction giving the basis, and
-    rf is never called.  When rows are dropped the rule is checked on y, and
-    a value that tolerance effects changed raises :class:`NumericError`.  A
-    rank function with no rule on the n-rank raises ValueError: use
-    :func:`extract_brute_force`.
+    rf is never called.  The claim is checked once, and only when rows are
+    dropped, on one n_rank of y: its mode-q rank must be r, as the kept rows
+    are that unfolding (else "row selection lost rank"), and the rule must
+    give r (else "changed the value"); either failure, a tolerance effect,
+    raises :class:`NumericError`.  A rank function with no rule on the
+    n-rank raises ValueError: use :func:`extract_brute_force`.
     """
     if rf._nrank_rule is None:
         raise ValueError(f"{rf.name} is not a rule on the n-rank; use extract_brute_force")
@@ -156,24 +158,24 @@ def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRa
     if x.is_zero():
         return _zero_certificate(x, (0,) * x.order)
     reduced = [_reduce(unfold(x, j), tol) for j in range(1, x.order + 1)]
-    ranks = tuple(rank for _, rank, _ in reduced)
+    ranks = tuple(rank for _, rank in reduced)
     r = rule(ranks)
     if r == 0:
         return _at_value_zero(rf, x)
     q = ranks.index(r) + 1
-    B, _, exp = reduced[q - 1]
-    rows = x.shape[q - 1]
-    basis = _select_rows((rows, x.size // rows), B, r, exp, tol)
-    sel = IndexSelection(
-        tuple(
-            basis.indices if l == q else tuple(range(1, n + 1))
-            for l, n in enumerate(x.shape, start=1)
-        )
-    )
+    kept = _select_rows(reduced[q - 1][0], r)
+    sel = IndexSelection.p_rows(x.shape, q, kept)
     y = subtensor(x, sel)
-    if r < rows and rule(n_rank(y, tol)) != r:
-        raise NumericError(f"{rf.name}: the mode-{q} row basis of rank {r} changed the value")
-    return y, FullRankCertificate(q, basis.indices, r, sel)
+    rows = x.shape[q - 1]
+    if r < rows:
+        y_ranks = n_rank(y, tol)
+        if y_ranks[q - 1] != r:
+            raise NumericError(
+                f"row selection lost rank on {rows}x{x.size // rows} matrix (target {r})"
+            )
+        if rule(y_ranks) != r:
+            raise NumericError(f"{rf.name}: the mode-{q} row basis of rank {r} changed the value")
+    return y, FullRankCertificate(q, kept, r, sel)
 
 
 def extract_max_tucker(
@@ -193,8 +195,9 @@ def verify_span_certificate(
     span every row exactly when M has rank r; M itself is factored only when
     rows were dropped.  A certificate that names no mode of x, has a mode and
     rank 0 (value 0 has no mode, so a mode claims its dimension, at least 1),
-    or whose kept indices are not ``cert.rank`` strictly increasing p-rows of
-    x, is refused.  One with no mode, as the extractors give at value 0,
+    whose kept indices are not ``cert.rank`` strictly increasing p-rows of
+    x, or whose selection is not those p-rows with every other mode whole,
+    is refused.  One with no mode, as the extractors give at value 0,
     holds when its rank is 0, it keeps no index, its selection picks out a
     zero subtensor of x, and some unfolding of x has rank 0 under ``tol``, as
     a rule on the n-rank is 0 only then."""
@@ -209,6 +212,8 @@ def verify_span_certificate(
         return False
     bounds = (0, *cert.indices, x.shape[cert.mode - 1] + 1)  # 0 < i_1 < ... < n + 1
     if len(cert.indices) != cert.rank or any(a >= b for a, b in zip(bounds, bounds[1:])):
+        return False
+    if cert.selection != IndexSelection.p_rows(x.shape, cert.mode, cert.indices):
         return False
     M = unfold(x, cert.mode)
     if matrix_rank(M[[i - 1 for i in cert.indices]], tol) != cert.rank:
@@ -298,16 +303,6 @@ def _walk_band(shape: tuple[int, ...], d: int, enter):
     return expand(0, (), False)
 
 
-def iter_selections(shape):
-    """All per-mode nonempty selections, ordered by decreasing largest kept
-    dimension and lexicographically within each band (the documented
-    deterministic enumeration order)."""
-    shape = tuple(shape)
-    for d in range(max(shape), 0, -1):
-        for combo in _walk_band(shape, d, lambda sizes, chosen: True):
-            yield IndexSelection(combo)
-
-
 def _check_capacity(x: DenseTensor) -> None:
     if x.size > MAX_ENTRIES:
         raise CapacityError(f"tensor has {x.size} entries, enumeration limit is {MAX_ENTRIES}")
@@ -320,8 +315,8 @@ def _check_capacity(x: DenseTensor) -> None:
 
 def extract_brute_force(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRankCertificate]:
     """Maximum full-rank subtensor under an arbitrary proper rank function,
-    found by searching the subtensors in the deterministic order of
-    :func:`iter_selections`.
+    found by searching the subtensors in one deterministic order: by
+    decreasing largest kept dimension, then lexicographically within a band.
 
     Shapes come in bands of decreasing largest kept dimension d; within a
     band the selections are expanded mode by mode in lexicographic subset

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["RankTolerance", "RowBasis", "DEFAULT_TOL", "matrix_rank", "row_basis"]
+__all__ = ["RankTolerance", "DEFAULT_TOL", "matrix_rank", "row_basis"]
 
 _EPS = float(np.finfo(np.float64).eps)
 # the smallest normal float64, 2**-1022.  Above it, factor * sigma rounds below
@@ -76,14 +76,6 @@ class RankTolerance:
 DEFAULT_TOL = RankTolerance()
 
 
-@dataclass(frozen=True)
-class RowBasis:
-    """A maximal numerically independent set of rows (1-based indices)."""
-
-    indices: tuple[int, ...]
-    rank: int
-
-
 def _as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=np.float64)
     if A.ndim == 1:
@@ -102,50 +94,36 @@ def _short_side(A: np.ndarray) -> np.ndarray:
     return np.linalg.qr(A.T, mode="r").T
 
 
-class _OutOfRange(ArithmeticError):
-    """The largest singular value overflowed float64 although every entry is
-    finite, or is so small that a relative threshold can round up to it."""
-
-
-def _rank(B: np.ndarray, shape: tuple[int, int], tol: RankTolerance, exp: int | None = None) -> int:
-    """Singular values of B counted against the threshold of a ``shape`` matrix,
-    B being the reduced matrix scaled down by ``2**exp``.  With no ``exp`` B
-    is unscaled, and a largest singular value that overflows, or under a
-    relative tolerance is at most 2**-1022, raises :class:`_OutOfRange` so
-    that the caller can rescale."""
-    try:
-        s = np.linalg.svd(B, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        if not np.isfinite(B).all():
-            raise _OutOfRange from exc
-        raise NumericError(f"SVD failed on {shape[0]}x{shape[1]} matrix") from exc
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    sigma_max = float(s[0])
-    small = tol.mode == "relative" and sigma_max <= _TINY
-    if exp is None and (small or not math.isfinite(sigma_max)):
-        raise _OutOfRange
-    threshold = tol.threshold(shape, sigma_max)
+def _reduce(A: np.ndarray, tol: RankTolerance) -> tuple[np.ndarray, int]:
+    """The short-side factor of A and the count of its singular values above
+    the threshold of A.  When the largest singular value of A overflows
+    float64 or, under a relative tolerance, is at most 2**-1022, A is scaled
+    by the exact power of two that brings its largest entry into [0.5, 1)
+    and factored again, so finite input keeps its bits and a relative factor
+    below 1 keeps its threshold below ``sigma_max``.  An absolute threshold
+    is scaled with A, so it is compared with A's own singular values at any
+    scale.  An SVD that fails on a finite factor raises :class:`NumericError`."""
+    exp = 0
+    for rescaled in (False, True):
+        if rescaled:
+            exp = int(np.frexp(np.max(np.abs(A)))[1])
+        B = _short_side(np.ldexp(A, -exp) if rescaled else A)
+        try:
+            s = np.linalg.svd(B, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            if rescaled or np.isfinite(B).all():
+                raise NumericError(f"SVD failed on {A.shape[0]}x{A.shape[1]} matrix") from exc
+            continue  # an overflow left B with no finite factorization
+        if s.size == 0 or s[0] == 0.0:
+            return B, 0
+        sigma_max = float(s[0])
+        small = tol.mode == "relative" and sigma_max <= _TINY
+        if rescaled or (math.isfinite(sigma_max) and not small):
+            break
+    threshold = tol.threshold(A.shape, sigma_max)
     if exp and tol.mode == "absolute":  # a relative threshold scales with B, an absolute one does not
         threshold = math.ldexp(threshold, -exp)  # exp > 0 here: only an overflow rescales
-    return int(np.count_nonzero(s > threshold))
-
-
-def _reduce(A: np.ndarray, tol: RankTolerance) -> tuple[np.ndarray, int, int]:
-    """The short-side factor of A, its rank, and the power of two it was scaled
-    down by.  The power is 0 unless the largest singular value of A overflows
-    float64 or, under a relative tolerance, is at most 2**-1022; then A is
-    scaled by the exact power of two that brings its largest entry into
-    [0.5, 1) and factored again, so finite input keeps its bits and a
-    relative factor below 1 keeps its threshold below ``sigma_max``.  An
-    absolute threshold is compared with A's own singular values at any scale."""
-    try:
-        B = _short_side(A)
-        return B, _rank(B, A.shape, tol), 0
-    except _OutOfRange:
-        exp = int(np.frexp(np.max(np.abs(A)))[1])
-        B = _short_side(np.ldexp(A, -exp))
-        return B, _rank(B, A.shape, tol, exp), exp
+    return B, int(np.count_nonzero(s > threshold))
 
 
 def _shape_rank(shape: tuple[int, int], tol: RankTolerance) -> int | None:
@@ -176,34 +154,44 @@ def matrix_rank(M, tol: RankTolerance = DEFAULT_TOL) -> int:
     return r if A.any() else 0
 
 
-def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> RowBasis:
-    """Select matrix_rank(M) rows forming a maximal independent set.
+def row_basis(M, tol: RankTolerance = DEFAULT_TOL) -> tuple[int, ...]:
+    """The sorted 1-based indices of matrix_rank(M) rows forming a maximal
+    independent set; their number is the rank.
 
     Row-pivoted Gram-Schmidt elimination: at each step the row with the
     largest residual norm is taken, ties broken by the smallest row index,
     so the result is deterministic for identical input bytes.  The rank
-    test, the elimination and the final check all run on the short-side
-    factor of M, and the elimination runs on it scaled by the power of two
-    that brings its largest entry into [0.5, 1): the scaling is exact, so
-    the picked rows are unchanged, and the residual norms can neither
-    overflow nor underflow at the ends of the float64 range.
+    test and the elimination run on the short-side factor of M (see
+    :func:`_select_rows`).  When rows are dropped, the kept rows of M are
+    checked to have the rank under ``tol``, and :class:`NumericError` is
+    raised when they do not.
     """
     A = _as_matrix(M)
-    return _select_rows(A.shape, *_reduce(A, tol), tol)
+    B, r = _reduce(A, tol)
+    kept = _select_rows(B, r)
+    if 0 < r < A.shape[0] and matrix_rank(A[[i - 1 for i in kept]], tol) != r:
+        raise NumericError(
+            f"row selection lost rank on {A.shape[0]}x{A.shape[1]} matrix (target {r})"
+        )
+    return kept
 
 
-def _select_rows(
-    shape: tuple[int, int], B: np.ndarray, r: int, exp: int, tol: RankTolerance
-) -> RowBasis:
-    """:func:`row_basis` of a ``shape`` matrix from its reduction by :func:`_reduce`.
+def _select_rows(B: np.ndarray, r: int) -> tuple[int, ...]:
+    """The sorted 1-based indices of r rows picked by :func:`row_basis`'s
+    elimination from a reduction B of rank r by :func:`_reduce`.
 
     When r is the row count every row is kept, as the reduction found their
-    rank.  Elimination stops early when no residual is left, which happens
-    when the tolerance counts a singular value that is not above rounding;
-    the final check then fails on fewer than r rows.
+    rank.  The elimination runs on B scaled by the power of two that brings
+    its largest entry into [0.5, 1): the scaling is exact, so the picked rows
+    are unchanged, and the residual norms can neither overflow nor underflow
+    at the ends of the float64 range.  It stops early when no residual is
+    left, which happens when the tolerance counts a singular value that is
+    not above rounding.  Nothing here checks the rank of the picked rows:
+    :func:`row_basis` checks it on the kept rows of its matrix, and
+    :func:`fullrank.extract_nrank` on the unfoldings of its subtensor.
     """
-    if r == shape[0]:
-        return RowBasis(indices=tuple(range(1, r + 1)), rank=r)
+    if r == B.shape[0]:
+        return tuple(range(1, r + 1))
     # C order as in a plain copy, so BLAS sums in the same order and exact ties
     # break the same way
     resid = np.ldexp(B, -np.frexp(np.max(np.abs(B)))[1], order="C")
@@ -222,9 +210,4 @@ def _select_rows(
         basis_vecs.append(q)
         resid = resid - np.outer(resid @ q, q)
         resid[k] = 0.0
-    indices = tuple(sorted(i + 1 for i in picked))
-    if indices and _rank(B[[i - 1 for i in indices]], (r, shape[1]), tol, exp) != r:
-        raise NumericError(
-            f"row selection lost rank on {shape[0]}x{shape[1]} matrix (target {r})"
-        )
-    return RowBasis(indices=indices, rank=r)
+    return tuple(sorted(i + 1 for i in picked))

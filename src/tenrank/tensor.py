@@ -168,6 +168,17 @@ class IndexSelection:
         """The selection keeping every index of every mode."""
         return cls(tuple(tuple(range(1, n + 1)) for n in shape))
 
+    @classmethod
+    def p_rows(cls, shape: Sequence[int], p: int, indices: Iterable[int]) -> "IndexSelection":
+        """The selection of the given p-rows: ``indices`` in mode p, every
+        other mode kept whole."""
+        return cls(
+            tuple(
+                tuple(indices) if l == p else tuple(range(1, n + 1))
+                for l, n in enumerate(shape, start=1)
+            )
+        )
+
     def validate_for(self, shape: Sequence[int]) -> None:
         if len(self.indices) != len(shape):
             raise SelectionError(
@@ -208,13 +219,7 @@ def p_row(x: DenseTensor, p: int, q: int) -> DenseTensor:
         raise SelectionError(f"mode {p} out of range 1..{x.order}")
     if not 1 <= q <= x.shape[p - 1]:
         raise SelectionError(f"index {q} out of range 1..{x.shape[p - 1]} in mode {p}")
-    sel = IndexSelection(
-        tuple(
-            (q,) if l == p else tuple(range(1, n + 1))
-            for l, n in enumerate(x.shape, start=1)
-        )
-    )
-    return subtensor(x, sel)
+    return subtensor(x, IndexSelection.p_rows(x.shape, p, (q,)))
 
 
 def permute_modes(x: DenseTensor, sigma: Sequence[int]) -> DenseTensor:

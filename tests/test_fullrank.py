@@ -38,7 +38,7 @@ from tenrank import (
 )
 from tenrank import fullrank
 from tenrank.cli import main
-from tenrank.fullrank import SEARCH_BUDGET, iter_selections
+from tenrank.fullrank import SEARCH_BUDGET, _walk_band
 from tenrank.generators import (
     counterexample_2x3x4,
     counterexample_3x2x2,
@@ -114,7 +114,7 @@ def test_span_certificate_rejects_indices_that_are_no_increasing_rows_of_x():
 
     x = DenseTensor(np.outer([1.0, 2.0, 3.0], [1.0, 1.0]))
     full = IndexSelection(((1, 2, 3), (1, 2)))
-    assert verify_span_certificate(x, FullRankCertificate(1, (2,), 1, full))
+    assert verify_span_certificate(x, FullRankCertificate(1, (2,), 1, IndexSelection.of((2,), (1, 2))))
     for indices in [(0,), (1, 1), (5,)]:
         assert not verify_span_certificate(x, FullRankCertificate(1, indices, 1, full))
     assert not verify_span_certificate(x, FullRankCertificate(1, (1, 2), 1, full))  # two rows, rank 1
@@ -136,6 +136,16 @@ def test_span_certificate_rejects_wrong_indices():
 
     bad = FullRankCertificate(3, (1, 2), 2, cert.selection)
     assert not verify_span_certificate(x, bad)
+
+
+def test_span_certificate_refuses_a_selection_that_is_not_its_p_rows():
+    x = counterexample_2x3x4()
+    _, cert = extract_max_tucker(x)
+    assert cert == FullRankCertificate(3, (1, 2, 3, 4), 4, IndexSelection.full((2, 3, 4)))
+    assert verify_span_certificate(x, cert)
+    # the mode-3 claim holds for x, but this selection is a 1x1x4 subtensor of max-Tucker rank 1
+    assert not verify_span_certificate(x, FullRankCertificate(3, (1, 2, 3, 4), 4, IndexSelection.of((1,), (1,), (1, 2, 3, 4))))
+    assert not verify_span_certificate(x, FullRankCertificate(3, (1, 2, 3, 4), 4, IndexSelection.full((2, 3, 5))))
 
 
 def _per_row_span_check(x, cert, tol):
@@ -163,7 +173,9 @@ def _row_subset_certificates():
             n = x.shape[cert.mode - 1]
             for size in range(n + 1):
                 for kept in itertools.combinations(range(1, n + 1), size):
-                    cases.append((x, FullRankCertificate(cert.mode, kept, size, cert.selection)))
+                    # the empty subset is refused for rank 0 before its selection is read
+                    sel = IndexSelection.p_rows(x.shape, cert.mode, kept) if kept else cert.selection
+                    cases.append((x, FullRankCertificate(cert.mode, kept, size, sel)))
     return cases
 
 
@@ -219,6 +231,14 @@ def test_a_certificate_with_no_mode_holds_on_a_zero_subtensor_only():
     assert not verify_span_certificate(x, FullRankCertificate(None, (), 1, IndexSelection.of((1,), (1,))), tol)
     assert not verify_span_certificate(x, FullRankCertificate(None, (), 0, IndexSelection.of((3,), (1,))), tol)
     assert verify_span_certificate(zero_tensor((2, 3)), FullRankCertificate(None, (), 0, IndexSelection.full((2, 3))))
+
+
+def iter_selections(shape):
+    """Every per-mode nonempty selection in the search's order: by decreasing
+    largest kept dimension, then lexicographically within a band."""
+    for d in range(max(shape), 0, -1):
+        for combo in _walk_band(tuple(shape), d, lambda sizes, chosen: True):
+            yield IndexSelection(combo)
 
 
 def test_enumeration_order_is_documented_one():
@@ -589,7 +609,7 @@ def test_extract_max_tucker_factors_each_unfolding_once(monkeypatch):
     # the certificate of the separate n_rank + row_basis passes
     ranks = n_rank(x)
     p = ranks.index(max(ranks)) + 1
-    assert (cert.mode, cert.indices, cert.rank) == (p, row_basis(unfold(x, p)).indices, max(ranks))
+    assert (cert.mode, cert.indices, cert.rank) == (p, row_basis(unfold(x, p)), max(ranks))
     assert verify_span_certificate(x, cert)
 
 
@@ -602,13 +622,29 @@ def test_extract_nrank_checks_the_value_of_a_dropped_row_subtensor(monkeypatch, 
     x = tucker_structured((6, 7, 8), (2, 3, 2), seed=1)  # max 3 in mode 2: rows dropped
     f = tmp_path / "x.tns"
     write_tensor(x, f)
-    monkeypatch.setattr(fullrank, "n_rank", lambda y, tol: (1,) * y.order)
+    # mode 2 keeps its rank 3, but the rule gives 4
+    monkeypatch.setattr(fullrank, "n_rank", lambda y, tol: (4, 3, 1))
     with pytest.raises(NumericError, match="mode-2"):
+        extract_nrank(max_tucker(), x)
+    assert main(["fullrank", str(f)]) == 5
+    # mode 2 loses its rank: the kept rows are that unfolding of the subtensor
+    monkeypatch.setattr(fullrank, "n_rank", lambda y, tol: (2, 2, 2))
+    with pytest.raises(NumericError, match=r"row selection lost rank on 7x48 matrix \(target 3\)"):
         extract_nrank(max_tucker(), x)
     assert main(["fullrank", str(f)]) == 5
     # a basis that keeps every row returns x itself, unchecked
     sub, cert = extract_nrank(max_tucker(), identity_tensor(3, 3))
     assert sub == identity_tensor(3, 3) and cert.rank == 3
+
+
+def test_extract_nrank_checks_a_dropped_row_subtensor_with_one_n_rank(monkeypatch):
+    x = tucker_structured((6, 7, 8), (2, 3, 2), seed=1)  # max 3 in mode 2: rows dropped
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    _, cert = extract_nrank(max_tucker(), x)
+    assert (cert.mode, cert.rank) == (2, 3)
+    assert len(calls) == 6  # three unfoldings of x, then three of the subtensor
 
 
 def test_extract_nrank_under_submax_beyond_the_search_caps():

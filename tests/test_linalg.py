@@ -17,7 +17,6 @@ from tenrank import (
     IndexSelection,
     NumericError,
     RankTolerance,
-    RowBasis,
     identity_tensor,
     matrix_rank,
     n_rank,
@@ -123,7 +122,7 @@ def test_rank_subadditivity(seed):
 
 
 def test_row_basis_identity():
-    assert row_basis(np.eye(4)).indices == (1, 2, 3, 4)
+    assert row_basis(np.eye(4)) == (1, 2, 3, 4)
 
 
 def test_row_basis_skips_duplicate_row():
@@ -131,16 +130,16 @@ def test_row_basis_skips_duplicate_row():
     r2 = np.array([0.0, 1.0, 1.0])
     M = np.vstack([r1, r1, r2])
     basis = row_basis(M)
-    assert basis.indices == (1, 3)
-    assert basis.rank == 2
+    assert basis == (1, 3)
+    assert len(basis) == 2
 
 
 def test_row_basis_projection_residual_oracle():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 7))
     basis = row_basis(M)
-    assert basis.rank == 2
-    picked = M[[i - 1 for i in basis.indices]]
+    assert len(basis) == 2
+    picked = M[[i - 1 for i in basis]]
     # every row must project onto the selected pair with negligible residual
     for row in M:
         coef, *_ = np.linalg.lstsq(picked.T, row, rcond=None)
@@ -148,13 +147,11 @@ def test_row_basis_projection_residual_oracle():
 
 
 def test_row_basis_keeps_every_row_of_full_row_rank_without_selecting(monkeypatch):
-    import tenrank.linalg
-
     calls = []
-    rank = tenrank.linalg._rank
-    monkeypatch.setattr(tenrank.linalg, "_rank", lambda *args: calls.append(1) or rank(*args))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
     M = np.random.default_rng(5).standard_normal((4, 6))
-    assert row_basis(M) == RowBasis(indices=(1, 2, 3, 4), rank=4)
+    assert row_basis(M) == (1, 2, 3, 4)
     assert len(calls) == 1  # the reduction's rank, with no final check
 
 
@@ -173,7 +170,7 @@ def test_row_basis_stops_when_no_residual_is_left():
 
 def test_row_basis_zero_matrix():
     basis = row_basis(np.zeros((3, 3)))
-    assert basis == RowBasis(indices=(), rank=0)
+    assert basis == ()
 
 
 def test_row_basis_deterministic():
@@ -238,7 +235,7 @@ def test_wide_matrix_rank_matches_unreduced_svd(rows, cols, rank, duplicate):
 def test_wide_row_basis_matches_unreduced_greedy_loop(rows, cols, rank):
     M = planted_wide(rows, cols, rank, seed=rows + rank)
     basis = row_basis(M)
-    assert (basis.indices, basis.rank) == reference_row_basis(M)
+    assert (basis, len(basis)) == reference_row_basis(M)
 
 
 @pytest.mark.parametrize("rows,cols,rank", WIDE_SHAPES)
@@ -249,11 +246,11 @@ def test_wide_row_basis_keeps_one_of_a_duplicated_row(rows, cols, rank):
     # other way; up to that swap the picked rows are the reference's
     swap = {rows: 2}
     expected, r = reference_row_basis(M)
-    assert basis.rank == r == rank
-    assert tuple(sorted(swap.get(i, i) for i in basis.indices)) == tuple(
+    assert len(basis) == r == rank
+    assert tuple(sorted(swap.get(i, i) for i in basis)) == tuple(
         sorted(swap.get(i, i) for i in expected)
     )
-    assert not {2, rows} <= set(basis.indices)
+    assert not {2, rows} <= set(basis)
 
 
 @pytest.mark.parametrize("k", [-300, -200, 200, 300])
@@ -295,8 +292,8 @@ def test_rank_when_sigma_max_overflows(cols):
     assert np.isfinite(M).all() and not np.isfinite(sigma[:2]).any()
     # the default threshold, max(rows, cols) * eps * sigma_max, falls between sigma_4 and sigma_3
     assert matrix_rank(M) == 3
-    assert row_basis(M) == RowBasis(indices=(1, 2, 3), rank=3)
-    assert verify_span_certificate(DenseTensor(M), FullRankCertificate(1, (1, 2, 3), 3, IndexSelection.full(M.shape)))
+    assert row_basis(M) == (1, 2, 3)
+    assert verify_span_certificate(DenseTensor(M), FullRankCertificate(1, (1, 2, 3), 3, IndexSelection.p_rows(M.shape, 1, (1, 2, 3))))
     # an absolute threshold keeps its meaning on the rescaled matrix
     assert matrix_rank(M, RankTolerance("absolute", 10 * sigma[2])) == 2
     assert matrix_rank(M, RankTolerance("absolute", 10 * sigma[3])) == 3
@@ -372,7 +369,7 @@ def test_subnormal_sigma_max_keeps_rank_under_factors_below_one():
     M = 2.0**-1022 * np.eye(2)
     assert matrix_rank(M, RankTolerance("relative", 1 - 2.0**-53)) == 2
     assert matrix_rank(M, RankTolerance("relative", 1.0)) == 0
-    assert row_basis(M, RankTolerance("relative", 1 - 2.0**-53)) == RowBasis((1, 2), 2)
+    assert row_basis(M, RankTolerance("relative", 1 - 2.0**-53)) == (1, 2)
     x = DenseTensor(5e-324 * identity_tensor(3, 2).data)
     assert n_rank(x, RankTolerance("relative", 0.6)) == (2, 2, 2)
 
@@ -381,7 +378,7 @@ def test_absolute_thresholds_see_a_subnormal_matrix_unscaled():
     M = 1e-323 * np.eye(2)
     for t, r in [(0.5, 0), (1e-323, 0), (5e-324, 2), (0.0, 2)]:
         assert matrix_rank(M, RankTolerance("absolute", t)) == plain_svd_rank(M, RankTolerance("absolute", t)) == r
-        assert row_basis(M, RankTolerance("absolute", t)).rank == r
+        assert len(row_basis(M, RankTolerance("absolute", t))) == r
 
 
 def test_vector_whose_norm_overflows_has_rank_one():
@@ -389,4 +386,4 @@ def test_vector_whose_norm_overflows_has_rank_one():
     for M in (v.reshape(1, -1), v.reshape(-1, 1)):
         assert matrix_rank(M) == 1
         assert matrix_rank(M, RankTolerance("absolute", 1e308)) == 1
-        assert row_basis(M).rank == 1
+        assert len(row_basis(M)) == 1
