@@ -24,6 +24,7 @@ from .ranks import (
     max_tucker_rank,
     min_rank,
     n_rank,
+    n_ranks,
     submax_tucker,
     submax_tucker_rank,
 )

@@ -36,6 +36,7 @@ _EPS = float(np.finfo(np.float64).eps)
 # sigma for every factor below 1; at or below it the product can round up to
 # sigma itself (at 2**-1022 and factor 1 - 2**-53 it ties and rounds to even)
 _TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
 _SHORT_SIDE_MIN_CELLS = 4096  # below this the QR costs more than it saves
 
 
@@ -85,13 +86,33 @@ def _as_matrix(M) -> np.ndarray:
     return A
 
 
+def _has_short_side(shape: tuple[int, int]) -> bool:
+    """Whether :func:`_short_side` factors a matrix of this shape."""
+    rows, cols = shape
+    return 2 * rows <= cols and rows * cols >= _SHORT_SIDE_MIN_CELLS
+
+
 def _short_side(A: np.ndarray) -> np.ndarray:
     """``R.T`` from the QR of ``A.T`` for a wide enough ``A``, else ``A`` itself:
     either way a matrix with the row inner products of ``A``."""
-    rows, cols = A.shape
-    if 2 * rows > cols or rows * cols < _SHORT_SIDE_MIN_CELLS:
+    if not _has_short_side(A.shape):
         return A
     return np.linalg.qr(A.T, mode="r").T
+
+
+def _cut(sigma_max, shape: tuple[int, int], tol: RankTolerance):
+    """The threshold under ``tol`` of ``shape`` matrices with largest singular
+    value ``sigma_max``, and whether sigma_max can be cut as it is: it is
+    finite and, under a relative tolerance, 0 or above 2**-1022.  Out of
+    that range :func:`_reduce` factors the matrix again, rescaled.
+    ``sigma_max`` is a float, or an array of them for a stack of matrices.
+    A zero sigma_max is in range under either mode, and its threshold, 0 or
+    the nonnegative absolute value, counts no singular value.
+    """
+    in_range = sigma_max <= _HUGE  # False for inf and NaN
+    if tol.mode == "relative":
+        in_range = in_range & ((sigma_max > _TINY) | (sigma_max == 0.0))
+    return tol.threshold(shape, sigma_max), in_range
 
 
 def _reduce(A: np.ndarray, tol: RankTolerance) -> tuple[np.ndarray, int]:
@@ -114,16 +135,29 @@ def _reduce(A: np.ndarray, tol: RankTolerance) -> tuple[np.ndarray, int]:
             if rescaled or np.isfinite(B).all():
                 raise NumericError(f"SVD failed on {A.shape[0]}x{A.shape[1]} matrix") from exc
             continue  # an overflow left B with no finite factorization
-        if s.size == 0 or s[0] == 0.0:
-            return B, 0
-        sigma_max = float(s[0])
-        small = tol.mode == "relative" and sigma_max <= _TINY
-        if rescaled or (math.isfinite(sigma_max) and not small):
+        threshold, in_range = _cut(float(s[0]), A.shape, tol)
+        if rescaled or in_range:
             break
-    threshold = tol.threshold(A.shape, sigma_max)
     if exp and tol.mode == "absolute":  # a relative threshold scales with B, an absolute one does not
         threshold = math.ldexp(threshold, -exp)  # exp > 0 here: only an overflow rescales
     return B, int(np.count_nonzero(s > threshold))
+
+
+def _stacked_ranks(stack: np.ndarray, tol: RankTolerance) -> list[int]:
+    """The rank :func:`_reduce` gives each matrix of a stack of same-shape
+    matrices that have no short-side factor, from one SVD call on the whole
+    stack: numpy factors each matrix of a stack as it factors it alone.  A
+    matrix whose sigma_max is out of range, and every matrix of a stack
+    whose SVD fails, goes through :func:`_reduce` itself."""
+    try:
+        s = np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return [_reduce(A, tol)[1] for A in stack]
+    threshold, in_range = _cut(s[:, 0], stack.shape[1:], tol)
+    ranks = np.count_nonzero(s.T > threshold, axis=0).tolist()
+    for k in np.flatnonzero(~in_range):
+        ranks[k] = _reduce(stack[k], tol)[1]
+    return ranks
 
 
 def _shape_rank(shape: tuple[int, int], tol: RankTolerance) -> int | None:

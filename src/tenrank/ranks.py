@@ -7,14 +7,17 @@ multiplicity.  Both are evaluated at a fixed :class:`RankTolerance`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .linalg import DEFAULT_TOL, RankTolerance, _reduce, _shape_rank
+import numpy as np
+
+from .linalg import DEFAULT_TOL, RankTolerance, _has_short_side, _reduce, _shape_rank, _stacked_ranks
 from .tensor import DenseTensor, unfold
 
 __all__ = [
     "RankFunction",
     "n_rank",
+    "n_ranks",
     "max_tucker_rank",
     "submax_tucker_rank",
     "max_tucker",
@@ -47,6 +50,46 @@ def n_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> tuple[int, ...]:
         r = _shape_rank((n, x.size // n), tol)
         ranks.append(_reduce(unfold(x, j), tol)[1] if r is None else r)
     return tuple(ranks)
+
+
+def n_ranks(tensors: Sequence[DenseTensor], tol: RankTolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
+    """``[n_rank(x, tol) for x in tensors]``, with the unfoldings that need an
+    SVD factored together: one call per unfolding shape, on a stack built
+    just before that call and dropped after it.
+
+    The answers are n_rank's.  The same shortcuts apply, every stacked
+    matrix goes through the same rank rule, and the matrices a stack does
+    not take (those past the short-side gate, and see
+    :func:`linalg._stacked_ranks`) go through n_rank's factorization.  On a
+    single tensor the grouping costs more than it saves, so n_rank stays
+    the call for one tensor.
+    """
+    ranks = []
+    pending = {}  # unfolding shape -> (tensor positions, modes) for its stack
+    for i, x in enumerate(tensors):
+        row = [0] * x.order
+        ranks.append(row)
+        if x.is_zero():
+            continue
+        for j, n in enumerate(x.shape):
+            shape = (n, x.size // n)
+            r = _shape_rank(shape, tol)
+            if r is None and _has_short_side(shape):
+                r = _reduce(unfold(x, j + 1), tol)[1]
+            if r is None:
+                owners, modes = pending.setdefault(shape, ([], []))
+                owners.append(i)
+                modes.append(j)
+            else:
+                row[j] = r
+    for shape, (owners, modes) in pending.items():
+        stack = np.empty((len(owners), *shape))
+        for A, i, j in zip(stack, owners, modes):
+            A[...] = unfold(tensors[i], j + 1)
+        for i, j, r in zip(owners, modes, _stacked_ranks(stack, tol)):
+            ranks[i][j] = r
+        del stack  # before the next shape's stack is built
+    return [tuple(row) for row in ranks]
 
 
 def max_tucker_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> int:

@@ -147,16 +147,16 @@ class IndexSelection:
     indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        norm = tuple(tuple(int(i) for i in mode) for mode in self.indices)
+        norm = tuple(tuple(map(int, mode)) for mode in self.indices)
         object.__setattr__(self, "indices", norm)
         if not norm:
             raise SelectionError("selection must cover at least one mode")
         for l, mode in enumerate(norm, start=1):
             if not mode:
                 raise SelectionError(f"mode {l}: empty index set")
-            if any(i < 1 for i in mode):
+            if min(mode) < 1:
                 raise SelectionError(f"mode {l}: indices are 1-based, got {mode}")
-            if any(a >= b for a, b in zip(mode, mode[1:])):
+            if not all(map(int.__lt__, mode, mode[1:])):
                 raise SelectionError(f"mode {l}: indices must be strictly increasing, got {mode}")
 
     @classmethod
@@ -203,10 +203,18 @@ class IndexSelection:
 
 
 def subtensor(x: DenseTensor, sel: IndexSelection) -> DenseTensor:
-    """Extract the subtensor given by per-mode index subsets."""
+    """Extract the subtensor given by per-mode index subsets.
+
+    One ``take`` per mode that drops indices (a strictly increasing mode
+    that keeps all n of them is 1..n); each take is a fresh C-order array,
+    and with no mode dropping anything the entries are copied once.
+    """
     sel.validate_for(x.shape)
-    grid = np.ix_(*[np.asarray(mode, dtype=np.intp) - 1 for mode in sel.indices])
-    return DenseTensor._of_fresh(x.data[grid])
+    a = x.data
+    for axis, (mode, n) in enumerate(zip(sel.indices, x.shape)):
+        if len(mode) < n:
+            a = a.take([i - 1 for i in mode], axis=axis)
+    return DenseTensor._of_fresh(a.copy() if a is x.data else a)
 
 
 def p_row(x: DenseTensor, p: int, q: int) -> DenseTensor:

@@ -6,6 +6,7 @@ in the acceptance suite.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tenrank import DEFAULT_TOL, axiom_report, max_tucker, min_rank, standard_fixtures, submax_tucker
@@ -194,37 +195,39 @@ def test_negative_controls_match_the_frozen_seed_101_documents(tmp_path):
     assert failed == set(AXIOMS + EXTRAS)
 
 
-DERIVING = ("scale", "permute_modes", "subtensor", "add", "n_rank")
+DERIVING = ("scale", "permute_modes", "subtensor", "add")
 
 
 def count_calls(monkeypatch, names=DERIVING):
-    """Wrap the axioms module's names with call counters; returns the counts."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _fn=getattr(axioms, name), **kwargs):
+    """Wrap the axioms module's names, and numpy's SVD as "svd", with call
+    counters; returns the counts."""
+    counts = dict.fromkeys(names + ("svd",), 0)
+    for module, name in [(axioms, name) for name in names] + [(np.linalg, "svd")]:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(axioms, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
 def test_reports_on_one_set_build_each_derived_tensor_once(monkeypatch):
+    fresh, fx = (standard_fixtures(seed=0, random_count=60) for _ in range(2))
     counts = count_calls(monkeypatch)
-    axiom_report(max_tucker(), standard_fixtures(seed=0, random_count=60))
+    axiom_report(max_tucker(), fresh)
     single = dict(counts)
     # max passes P4-P6 and subadditivity, so one report builds every derived tensor
-    fx = standard_fixtures(seed=0, random_count=60)
     n, m = len(fx.tensors), len(fx.pairs)
-    assert [single[k] for k in DERIVING[:4]] == [4 * n, 5 * n, 10 * n, m]
+    assert [single[k] for k in DERIVING] == [4 * n, 5 * n, 10 * n, m]
+    # and factors at most once per unfolding shape
+    shapes = {(k, x.size // k) for x in fresh._n_ranks[DEFAULT_TOL] for k in x.shape}
+    assert 0 < single["svd"] <= len(shapes)
 
-    counts.update(dict.fromkeys(DERIVING, 0))
+    counts.update(dict.fromkeys(counts, 0))
     axiom_report(max_tucker(), fx)
-    after_first = dict(counts)
     axiom_report(submax_tucker(), fx)
     axiom_report(min_rank(max_tucker(), submax_tucker()), fx)
-    assert counts == single
-    assert counts["n_rank"] == after_first["n_rank"]  # the second and third reports factor nothing
+    assert counts == single  # the second and third reports build and factor nothing
 
 
 def _documents(rfs, fx_for):
@@ -278,3 +281,17 @@ def test_derived_tensors_past_a_counterexample_are_never_built():
         assert (p4.passed, p4.checks, p4.witness_name) == (False, 1, "large")
         assert p4.detail == "rank 1 became 0 under alpha=-2.0"
         assert (sub.passed, sub.checks, sub.witness_name) == (False, 1, "ones")
+
+
+def test_ranking_up_front_leaves_a_scaling_that_overflows_to_p4():
+    # 3.0 * 7e307 overflows, but P4 fails at alpha=-2.0 and never asks for it
+    one = DenseTensor([1.0])
+    fx = FixtureSet(
+        tensors=(Fixture("large", DenseTensor([7e307]), "random"),),
+        pairs=(FixturePair("ones", one, one),),
+        seed=0,
+    )
+    report = axiom_report(max_tucker(RankTolerance("absolute", 1e308)), fx)
+    p1, p4 = report.result("P1"), report.result("P4")
+    assert (p1.passed, p1.detail) == (False, "rank 0 on a nonzero tensor")
+    assert (p4.passed, p4.checks, p4.detail) == (False, 1, "rank 0 became 1 under alpha=-2.0")

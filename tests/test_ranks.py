@@ -18,9 +18,13 @@ from tenrank import (
     max_tucker_rank,
     min_rank,
     n_rank,
+    n_ranks,
+    scale,
+    standard_fixtures,
     submax_tucker,
     submax_tucker_rank,
 )
+from tenrank.axioms import _ranked_tensors
 from tenrank.generators import (
     counterexample_2x3x4,
     counterexample_3x2x2,
@@ -234,3 +238,67 @@ def test_rank_function_keeps_no_reference_to_its_argument():
     ref = weakref.ref(x.data)  # DenseTensor has slots and no weak references; its entries do
     del x
     assert ref() is None
+
+
+# --------------------------------------------- stacked n-ranks against n_rank
+
+STACK_TOLERANCES = [
+    RankTolerance(),
+    RankTolerance("relative", 1e-3),
+    RankTolerance("relative", 0.5),
+    RankTolerance("absolute", 0.0),
+    RankTolerance("absolute", 0.5),
+    RankTolerance("absolute", 1e300),
+]
+
+
+def test_stacked_n_ranks_equal_n_rank_tensor_by_tensor():
+    # every tensor the battery ranks at seed 101, then copies whose sigma_max
+    # is subnormal or near overflow, subnormal matrices, overflowing matrices,
+    # and a tensor with an unfolding past the short-side gate
+    base = list(dict.fromkeys(_ranked_tensors(standard_fixtures(seed=101, random_count=40))))
+    tensors = base + [scale(x, c) for c in (1e-310, 1e305) for x in base]
+    tensors += [
+        DenseTensor([[5e-324]]),
+        DenseTensor([[5e-324, 0.0], [0.0, 5e-324]]),
+        DenseTensor([[5e-324, 1e-323, 0.0], [2e-323, 5e-324, 5e-324]]),
+        DenseTensor(np.full((2, 3, 2), 1e308)),
+        DenseTensor([[1e308, -1e308], [1e308, 1e308]]),
+        random_tensor((3, 70, 70), seed=5),
+    ]
+    for tol in STACK_TOLERANCES:
+        assert n_ranks(tensors, tol) == [n_rank(x, tol) for x in tensors]
+
+
+def test_stacked_n_ranks_factor_once_per_unfolding_shape(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    tensors = [random_tensor((2, 3, 4), seed=s) for s in range(6)]
+    tensors += [random_tensor((4, 3, 2), seed=s) for s in range(3)]
+    tensors += [zero_tensor((2, 3, 4)), random_tensor((1, 5), seed=0)]
+    expected = [n_rank(x) for x in tensors]
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert n_ranks(tensors) == expected
+    # (2, 12), (3, 8) and (4, 6) are each one stack; the zero tensor and the
+    # one-row unfoldings need no factorization
+    assert sorted(calls) == [(9, 2, 12), (9, 3, 8), (9, 4, 6)]
+
+
+def test_a_stack_whose_svd_fails_is_ranked_one_matrix_at_a_time(monkeypatch):
+    svd = np.linalg.svd
+
+    def no_stacks(a, *args, **kwargs):
+        if a.ndim > 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    tensors = [random_tensor((2, 3, 4), seed=s) for s in range(4)]
+    tensors.append(counterexample_2x3x4())
+    expected = [n_rank(x) for x in tensors]
+    monkeypatch.setattr(np.linalg, "svd", no_stacks)
+    assert n_ranks(tensors) == expected

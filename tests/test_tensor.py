@@ -476,3 +476,16 @@ def test_derived_tensors_keep_the_constructor_layout():
             scale(DenseTensor([1e308]), 10.0)
         with pytest.raises(ValueError, match="finite"):
             add(DenseTensor([1e308]), DenseTensor([1e308]))
+
+
+def test_subtensor_copies_into_c_order_from_any_layout():
+    rng = np.random.default_rng(5)
+    x = DenseTensor(rng.standard_normal((3, 1, 4, 2)))
+    for y in (x, permute_modes(x, (3, 1, 4, 2))):  # C order, then a transposed layout
+        full = [tuple(range(1, n + 1)) for n in y.shape]
+        for drop in itertools.product((False, True), repeat=y.order):
+            sel = IndexSelection(tuple(m[::2] if d else m for m, d in zip(full, drop)))
+            got = subtensor(y, sel)
+            ref = y.data[np.ix_(*[np.asarray(m) - 1 for m in sel.indices])]
+            assert layout(got.data) == layout(np.ascontiguousarray(ref))
+            assert not got.data.flags.writeable and not np.shares_memory(got.data, y.data)
