@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import generators as gen
-from .linalg import DEFAULT_TOL, RankTolerance
+from .linalg import DEFAULT_TOL, RankTolerance, matrix_rank
 from .ranks import RankFunction, n_rank, n_ranks, _submax
 from .tensor import DenseTensor, IndexSelection, add, identity_tensor, permute_modes, scale, subtensor
 
@@ -264,8 +264,8 @@ def _p2(rf, fx, tol):
 def _p3(rf, fx, tol):
     for f in fx.tensors:
         if f.kind == "matrix":
-            # the mode-1 unfolding of a matrix with trailing singleton modes is the matrix
-            expected = fx.unfolding_ranks(f.tensor, tol)[0]
+            n1, n2 = f.tensor.shape[:2]
+            expected = matrix_rank(f.tensor.data.reshape(n1, n2), tol)
             r = rf(f.tensor)
             yield f.name, (f.tensor,), r != expected and f"matrix rank {expected}, got {r}"
 
@@ -439,8 +439,8 @@ def _made(family):
 def axiom_report(rf: RankFunction, fixtures: FixtureSet | None = None) -> AxiomReport:
     """Run every check against the fixture set and collect per-property results.
 
-    P1's converse and P3 compare with unfolding ranks under rf's own
-    tolerance when rf is a rule on the n-rank, and under DEFAULT_TOL
+    P1's converse and P3 compare with unfolding and matrix ranks under rf's
+    own tolerance when rf is a rule on the n-rank, and under DEFAULT_TOL
     otherwise; the report records which.  A rule on the n-rank is evaluated
     from the set's memo, as :func:`min_rank` does, so every such function on
     the set shares one n-rank per tensor and tolerance.  For such a rule,

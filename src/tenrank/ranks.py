@@ -43,51 +43,50 @@ def n_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> tuple[int, ...]:
     unfoldings go straight to the factorization, without the checks
     :func:`matrix_rank` makes on matrices from outside.
     """
+    return tuple(_unfolding_ranks(x, tol, stack=False))
+
+
+def _unfolding_ranks(x: DenseTensor, tol: RankTolerance, stack: bool) -> list[int | None]:
+    """n_rank(x, tol) as a list, except that with ``stack`` an unfolding
+    that would go to a plain SVD, not through the short-side factor, is
+    left None for :func:`n_ranks` to factor in a stack."""
     if x.is_zero():
-        return (0,) * x.order
+        return [0] * x.order
     ranks = []
     for j, n in enumerate(x.shape, start=1):
-        r = _shape_rank((n, x.size // n), tol)
-        ranks.append(_reduce(unfold(x, j), tol)[1] if r is None else r)
-    return tuple(ranks)
+        shape = (n, x.size // n)
+        r = _shape_rank(shape, tol)
+        if r is None and (not stack or _has_short_side(shape)):
+            r = _reduce(unfold(x, j), tol)[1]
+        ranks.append(r)
+    return ranks
 
 
 def n_ranks(tensors: Sequence[DenseTensor], tol: RankTolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
-    """``[n_rank(x, tol) for x in tensors]``, with the unfoldings that need an
-    SVD factored together: one call per unfolding shape, on a stack built
-    just before that call and dropped after it.
+    """``[n_rank(x, tol) for x in tensors]``, with the unfoldings that need a
+    plain SVD factored together: one call per unfolding shape, on a stack
+    built just before that call and dropped after it.
 
-    The answers are n_rank's.  The same shortcuts apply, every stacked
-    matrix goes through the same rank rule, and the matrices a stack does
-    not take (those past the short-side gate, and see
-    :func:`linalg._stacked_ranks`) go through n_rank's factorization.  On a
-    single tensor the grouping costs more than it saves, so n_rank stays
-    the call for one tensor.
+    The answers are n_rank's: the shortcuts and the short-side path are
+    n_rank's own, and every stacked matrix goes through the same rank rule
+    (see :func:`linalg._stacked_ranks`).  On a single tensor the grouping
+    costs more than it saves, so n_rank stays the call for one tensor.
     """
-    ranks = []
+    ranks = [_unfolding_ranks(x, tol, stack=True) for x in tensors]
     pending = {}  # unfolding shape -> (tensor positions, modes) for its stack
-    for i, x in enumerate(tensors):
-        row = [0] * x.order
-        ranks.append(row)
-        if x.is_zero():
-            continue
-        for j, n in enumerate(x.shape):
-            shape = (n, x.size // n)
-            r = _shape_rank(shape, tol)
-            if r is None and _has_short_side(shape):
-                r = _reduce(unfold(x, j + 1), tol)[1]
+    for i, (x, row) in enumerate(zip(tensors, ranks)):
+        for j, r in enumerate(row, start=1):
             if r is None:
-                owners, modes = pending.setdefault(shape, ([], []))
+                n = x.shape[j - 1]
+                owners, modes = pending.setdefault((n, x.size // n), ([], []))
                 owners.append(i)
                 modes.append(j)
-            else:
-                row[j] = r
     for shape, (owners, modes) in pending.items():
         stack = np.empty((len(owners), *shape))
         for A, i, j in zip(stack, owners, modes):
-            A[...] = unfold(tensors[i], j + 1)
+            A[...] = unfold(tensors[i], j)
         for i, j, r in zip(owners, modes, _stacked_ranks(stack, tol)):
-            ranks[i][j] = r
+            ranks[i][j - 1] = r
         del stack  # before the next shape's stack is built
     return [tuple(row) for row in ranks]
 

@@ -219,15 +219,20 @@ def test_reports_on_one_set_build_each_derived_tensor_once(monkeypatch):
     # max passes P4-P6 and subadditivity, so one report builds every derived tensor
     n, m = len(fx.tensors), len(fx.pairs)
     assert [single[k] for k in DERIVING] == [4 * n, 5 * n, 10 * n, m]
-    # and factors at most once per unfolding shape
+    # and factors at most once per unfolding shape, besides P3's own matrix
+    # rank of each matrix fixture
     shapes = {(k, x.size // k) for x in fresh._n_ranks[DEFAULT_TOL] for k in x.shape}
-    assert 0 < single["svd"] <= len(shapes)
+    p3 = sum(f.kind == "matrix" for f in fx.tensors)
+    assert p3 < single["svd"] <= len(shapes) + p3
 
     counts.update(dict.fromkeys(counts, 0))
     axiom_report(max_tucker(), fx)
+    first = dict(counts)
     axiom_report(submax_tucker(), fx)
     axiom_report(min_rank(max_tucker(), submax_tucker()), fx)
-    assert counts == single  # the second and third reports build and factor nothing
+    assert first == single
+    # the second and third reports build nothing and factor only P3's matrices
+    assert counts == dict(single, svd=single["svd"] + 2 * p3)
 
 
 def _documents(rfs, fx_for):
