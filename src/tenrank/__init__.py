@@ -10,7 +10,6 @@ from .tensor import (
     identity_tensor,
     mode_product,
     outer_product,
-    p_row,
     permute_modes,
     scale,
     subtensor,
@@ -26,7 +25,6 @@ from .ranks import (
     n_rank,
     n_ranks,
     submax_tucker,
-    submax_tucker_rank,
 )
 from .cp import CpBounds, cp_bounds, cp_reconstruct
 from .axioms import AxiomReport, FixtureSet, axiom_report, standard_fixtures, write_report

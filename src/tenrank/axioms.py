@@ -449,10 +449,10 @@ def axiom_report(rf: RankFunction, fixtures: FixtureSet | None = None) -> AxiomR
     per shape: on the standard set some 160 calls instead of some 7,800.
     """
     fx = fixtures if fixtures is not None else standard_fixtures()
-    if rf._nrank_rule is None:
+    if rf.nrank_rule is None:
         shared, tol = rf, DEFAULT_TOL
     else:
-        rule, tol = rf._nrank_rule
+        rule, tol = rf.nrank_rule
         _rank_up_front(fx, tol)
         shared = lambda x: rule(fx.unfolding_ranks(x, tol))
     results = [_check(name, cases(shared, fx, tol)) for name, cases in PROPERTIES.items()]

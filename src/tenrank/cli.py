@@ -16,7 +16,7 @@ from .errors import CapacityError, FormatError, NumericError
 from .fullrank import closure_eval, extract_brute_force, extract_nrank
 from .io import read_tensor, read_utf8, write_tensor
 from .linalg import RankTolerance
-from .ranks import max_tucker, n_rank, submax_tucker
+from .ranks import RANK_FUNCTIONS, n_rank
 from .tensor import identity_tensor
 from .tucker import (
     METHODS,
@@ -34,10 +34,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CAPACITY = 4
 EXIT_NUMERIC = 5
-
-# --fn value -> rank-function factory; verbs print the built function's own name
-RANK_FUNCTIONS = {"max": max_tucker, "submax": submax_tucker}
-
 
 def _need_shape(args) -> tuple[int, ...]:
     if not args.shape:

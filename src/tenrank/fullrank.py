@@ -118,10 +118,10 @@ def _at_value_zero(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullR
     zeros = np.argwhere(x.data == 0)
     if len(zeros):
         return _zero_certificate(x, zeros[0])
-    if rf._nrank_rule is None:
+    if rf.nrank_rule is None:
         raise _not_proper(rf, x)
     raise NoFullRankError(
-        f"{rf.name} is 0 under tolerance {rf._nrank_rule[1].describe()} on a tensor of "
+        f"{rf.name} is 0 under tolerance {rf.nrank_rule[1].describe()} on a tensor of "
         f"shape {x.shape} with no zero entry, so no subtensor is of full rank"
     )
 
@@ -152,9 +152,9 @@ def extract_nrank(rf: RankFunction, x: DenseTensor) -> tuple[DenseTensor, FullRa
     raises :class:`NumericError`.  A rank function with no rule on the
     n-rank raises ValueError: use :func:`extract_brute_force`.
     """
-    if rf._nrank_rule is None:
+    if rf.nrank_rule is None:
         raise ValueError(f"{rf.name} is not a rule on the n-rank; use extract_brute_force")
-    rule, tol = rf._nrank_rule
+    rule, tol = rf.nrank_rule
     if x.is_zero():
         return _zero_certificate(x, (0,) * x.order)
     reduced = [_reduce(unfold(x, j), tol) for j in range(1, x.order + 1)]

@@ -19,10 +19,10 @@ __all__ = [
     "n_rank",
     "n_ranks",
     "max_tucker_rank",
-    "submax_tucker_rank",
     "max_tucker",
     "submax_tucker",
     "min_rank",
+    "RANK_FUNCTIONS",
 ]
 
 
@@ -95,10 +95,6 @@ def max_tucker_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> int:
     return max(n_rank(x, tol))
 
 
-def submax_tucker_rank(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> int:
-    return _submax(n_rank(x, tol))
-
-
 class RankFunction:
     """A named integer rank evaluator over dense tensors.
 
@@ -107,12 +103,16 @@ class RankFunction:
     ``shape_bound`` is an optional optimistic upper bound on the value for a
     given shape, used to prune brute-force subtensor enumeration.
 
+    ``nrank_rule`` is ``(rule, tol)`` when the value is
+    ``rule(n_rank(x, tol))``, as for max_tucker, submax_tucker and
+    min_rank of them at one tolerance, and None otherwise.  Code that holds
+    the n-rank (:func:`min_rank`, the axiom battery, :func:`extract_nrank`)
+    applies the rule to it instead of calling the evaluator; the evaluator
+    must give the same value.
+
     Evaluators must be pure: a caller that already holds rf(x) may use it
     in place of another call.
     """
-
-    # (rule, tol) when the value is rule(n_rank(x, tol)); see min_rank
-    _nrank_rule: tuple[Callable[[tuple[int, ...]], int], RankTolerance] | None = None
 
     def __init__(
         self,
@@ -120,11 +120,13 @@ class RankFunction:
         evaluator: Callable[[DenseTensor], int],
         declared_properties: Iterable[str] = (),
         shape_bound: Callable[[tuple[int, ...]], int] | None = None,
+        nrank_rule: tuple[Callable[[tuple[int, ...]], int], RankTolerance] | None = None,
     ):
         self.name = name
         self.evaluator = evaluator
         self.declared_properties = frozenset(declared_properties)
         self.shape_bound = shape_bound
+        self.nrank_rule = nrank_rule
 
     def __call__(self, x: DenseTensor) -> int:
         return int(self.evaluator(x))
@@ -149,14 +151,13 @@ def _from_n_rank(
     Its shape bound is the same rule on the largest unfolding ranks a shape
     allows, which bounds the value when the rule is monotone in each rank.
     """
-    rf = RankFunction(
+    return RankFunction(
         name,
         lambda x: rule(n_rank(x, tol)),
         declared_properties,
         lambda shape: rule(_unfolding_bounds(shape)),
+        nrank_rule=(rule, tol),
     )
-    rf._nrank_rule = (rule, tol)
-    return rf
 
 
 def max_tucker(tol: RankTolerance = DEFAULT_TOL) -> RankFunction:
@@ -184,11 +185,15 @@ def min_rank(r1: RankFunction, r2: RankFunction) -> RankFunction:
     """
     declared = (r1.declared_properties | r2.declared_properties) & {"proper", "strongly_proper"}
     name = f"min({r1.name},{r2.name})"
-    if r1._nrank_rule and r2._nrank_rule and r1._nrank_rule[1] == r2._nrank_rule[1]:
-        (rule1, tol), (rule2, _) = r1._nrank_rule, r2._nrank_rule
+    if r1.nrank_rule and r2.nrank_rule and r1.nrank_rule[1] == r2.nrank_rule[1]:
+        (rule1, tol), (rule2, _) = r1.nrank_rule, r2.nrank_rule
         return _from_n_rank(name, lambda ranks: min(rule1(ranks), rule2(ranks)), tol, declared)
     if r1.shape_bound and r2.shape_bound:
         bound = lambda shape: min(r1.shape_bound(shape), r2.shape_bound(shape))
     else:
         bound = r1.shape_bound or r2.shape_bound
     return RankFunction(name, lambda x: min(r1(x), r2(x)), declared, bound)
+
+
+# --fn value -> rank-function factory; the CLI's verbs print the built function's own name
+RANK_FUNCTIONS = {"max": max_tucker, "submax": submax_tucker}

@@ -17,13 +17,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SelectionError
+from .errors import NumericError, SelectionError
 
 __all__ = [
     "DenseTensor",
     "IndexSelection",
     "subtensor",
-    "p_row",
     "permute_modes",
     "outer_product",
     "identity_tensor",
@@ -171,7 +170,10 @@ class IndexSelection:
     @classmethod
     def p_rows(cls, shape: Sequence[int], p: int, indices: Iterable[int]) -> "IndexSelection":
         """The selection of the given p-rows: ``indices`` in mode p, every
-        other mode kept whole."""
+        other mode kept whole.  For a matrix, 1-rows are rows and 2-rows are
+        columns.  A mode p outside 1..len(shape) raises SelectionError."""
+        if not 1 <= p <= len(shape):
+            raise SelectionError(f"mode {p} out of range 1..{len(shape)}")
         return cls(
             tuple(
                 tuple(indices) if l == p else tuple(range(1, n + 1))
@@ -215,19 +217,6 @@ def subtensor(x: DenseTensor, sel: IndexSelection) -> DenseTensor:
         if len(mode) < n:
             a = a.take([i - 1 for i in mode], axis=axis)
     return DenseTensor._of_fresh(a.copy() if a is x.data else a)
-
-
-def p_row(x: DenseTensor, p: int, q: int) -> DenseTensor:
-    """The q-th p-row: mode p pinned to index q, all other modes kept full.
-
-    For a matrix, a 1-row is a row and a 2-row is a column (returned with a
-    singleton mode p, not squeezed).
-    """
-    if not 1 <= p <= x.order:
-        raise SelectionError(f"mode {p} out of range 1..{x.order}")
-    if not 1 <= q <= x.shape[p - 1]:
-        raise SelectionError(f"index {q} out of range 1..{x.shape[p - 1]} in mode {p}")
-    return subtensor(x, IndexSelection.p_rows(x.shape, p, (q,)))
 
 
 def permute_modes(x: DenseTensor, sigma: Sequence[int]) -> DenseTensor:
@@ -348,11 +337,16 @@ def frobenius_norm(x: DenseTensor) -> float:
     scales give the same bits as ``np.linalg.norm``.  Outside it the squares
     may have under- or overflowed: the entries are divided by a power of two
     near max|x| (exact, bar entries too small to count) and the norm is
-    scaled back.
+    scaled back.  A finite tensor whose norm exceeds the largest float64
+    raises :class:`NumericError`.
     """
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x.data))
     if _NORM_SAFE[0] <= norm <= _NORM_SAFE[1] or x.is_zero():
         return norm
     _, exponent = math.frexp(float(np.abs(x.data).max()))
-    return math.ldexp(float(np.linalg.norm(np.ldexp(x.data, -exponent))), exponent)
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(x.data, -exponent))), exponent)
+    except OverflowError:
+        dims = "x".join(map(str, x.shape))
+        raise NumericError(f"Frobenius norm of a {dims} tensor exceeds the float64 range") from None

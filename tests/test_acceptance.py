@@ -30,7 +30,6 @@ from tenrank import (
     run_sweep,
     standard_fixtures,
     submax_tucker,
-    submax_tucker_rank,
     sweep_to_csv,
     verify_span_certificate,
 )
@@ -68,7 +67,7 @@ def test_criterion_1_counterexample_ranks():
     x = counterexample_2x3x4()
     nr = n_rank(x)
     ok = nr == (2, 3, 4) and max(nr) == 4 and _submax(nr) == 3
-    ok = ok and max_tucker_rank(x) == 4 and submax_tucker_rank(x) == 3
+    ok = ok and max_tucker_rank(x) == 4 and submax_tucker()(x) == 3
     best = min(
         _timed(lambda: (max(n_rank(x)), _submax(n_rank(x)))) for _ in range(25)
     )
@@ -85,7 +84,7 @@ def _timed(fn) -> float:
 def test_criterion_2_strongly_proper_witness(full_battery):
     _, report_max, _, _ = full_battery
     x = counterexample_3x2x2()
-    values_ok = max_tucker_rank(x) == 3 and submax_tucker_rank(x) == 2 and 3 > 2
+    values_ok = max_tucker_rank(x) == 3 and submax_tucker()(x) == 2 and 3 > 2
     res = report_max.result("strongly_proper")
     witness_ok = (not res.passed) and res.witness_name == "counterexample_3x2x2"
     witness_ok = witness_ok and len(res.witness) == 1 and res.witness[0] == x
@@ -112,7 +111,7 @@ def test_criterion_3_axiom_battery(full_battery):
         witness_ok = (
             n_rank(y) == (4, 3, 2)
             and n_rank(z) == (3, 4, 2)
-            and submax_tucker_rank(y + z) > submax_tucker_rank(y) + submax_tucker_rank(z)
+            and submax_tucker()(y + z) > submax_tucker()(y) + submax_tucker()(z)
         )
     ok = battery_ok and axioms_ok and max_ok and sub_ok and witness_ok and elapsed < 30.0
     _verdict(3, "axiom battery on >=200 fixtures", ok, f"{elapsed:.1f}s")

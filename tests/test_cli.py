@@ -1,4 +1,5 @@
 """CLI behaviour: verb outputs, exit codes, reproducibility, smoke parity."""
+import argparse
 import json
 import os
 import struct
@@ -12,7 +13,8 @@ import pytest
 
 import tenrank
 from tenrank import max_tucker_rank, n_rank, read_tensor, scale, subtensor, write_tensor
-from tenrank.cli import GENERATORS, main
+from tenrank.cli import GENERATORS, build_parser, main
+from tenrank.ranks import RANK_FUNCTIONS
 from tenrank.generators import tucker_structured
 
 
@@ -167,6 +169,30 @@ def test_axioms_verb_exit_codes(tmp_path, capsys):
     assert rows["strongly_proper"]["status"] == "fail"
     assert "witness_file" in rows["strongly_proper"]
     assert "max_tucker strongly_proper: FAIL" in err
+
+
+def test_fn_choices_are_the_rank_function_registry():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    with_fn = {
+        verb: next(a.choices for a in sub._actions if a.dest == "fn")
+        for verb, sub in verbs.items()
+        if any(a.dest == "fn" for a in sub._actions)
+    }
+    assert set(with_fn) == {"rank", "fullrank", "closure", "axioms"}
+    for choices in with_fn.values():
+        assert list(choices) == list(RANK_FUNCTIONS)
+
+
+@pytest.mark.parametrize("method", ["hosvd", "st_hosvd", "hooi"])
+def test_tucker_on_a_tensor_whose_norm_overflows_is_a_numeric_error(tmp_path, capsys, method):
+    # every entry is finite, but the Frobenius norm, 2e308, is not
+    f = tmp_path / "big.tns"
+    f.write_text("3\n2 2 2\n1e308 -1e308 1e308 1e308 1 1 1 1\n")
+    outdir = tmp_path / "mb"
+    code, out, err = run(capsys, "tucker", str(f), "--ranks", "1", "1", "1", "--method", method, "--outdir", str(outdir))
+    assert (code, out) == (5, "")
+    assert err == "numeric error: Frobenius norm of a 2x2x2 tensor exceeds the float64 range\n"
 
 
 def test_tucker_verb_writes_model(tmp_path, capsys):

@@ -39,6 +39,7 @@ from tenrank import (
 from tenrank import fullrank
 from tenrank.cli import main
 from tenrank.fullrank import SEARCH_BUDGET, _walk_band
+from tenrank.ranks import RANK_FUNCTIONS
 from tenrank.generators import (
     counterexample_2x3x4,
     counterexample_3x2x2,
@@ -166,7 +167,7 @@ def _row_subset_certificates():
     cases = []
     for fixture in standard_fixtures(seed=101).tensors:
         x = fixture.tensor
-        for rf in (max_tucker(), submax_tucker()):
+        for rf in [make() for make in RANK_FUNCTIONS.values()]:
             _, cert = extract_nrank(rf, x)
             if cert.mode is None:
                 continue
@@ -207,7 +208,7 @@ def test_extract_nrank_certificates_verify_under_a_coarse_tolerance(tol):
     verified = 0
     for fixture in standard_fixtures(seed=101).tensors:
         x = fixture.tensor
-        for rf in (max_tucker(tol), submax_tucker(tol)):
+        for rf in [make(tol) for make in RANK_FUNCTIONS.values()]:
             try:
                 _, cert = extract_nrank(rf, x)
             except (NumericError, NoFullRankError):  # tolerance effects, or value 0 and no zero entry
@@ -220,7 +221,7 @@ def test_extract_nrank_certificates_verify_under_a_coarse_tolerance(tol):
 def test_a_certificate_with_no_mode_holds_on_a_zero_subtensor_only():
     tol = RankTolerance("absolute", 100.0)
     x = DenseTensor([[0.0, 2.0], [3.0, 4.0]])
-    for rf in (max_tucker(tol), submax_tucker(tol)):
+    for rf in [make(tol) for make in RANK_FUNCTIONS.values()]:
         for extract in (extract_nrank, extract_brute_force):
             _, cert = extract(rf, x)
             assert cert == FullRankCertificate(None, (), 0, IndexSelection.of((1,), (1,)))
@@ -665,7 +666,7 @@ ZERO_RANK_TOLS = [
 
 
 @pytest.mark.parametrize("tol", ZERO_RANK_TOLS, ids=lambda t: t.describe())
-@pytest.mark.parametrize("make", [max_tucker, submax_tucker])
+@pytest.mark.parametrize("make", list(RANK_FUNCTIONS.values()))
 def test_extract_nrank_at_value_zero_returns_a_zero_entry_as_brute_force_does(make, tol):
     rf = make(tol)
     x = counterexample_2x3x4()  # nonzero, with zero entries
@@ -680,7 +681,7 @@ def test_extract_nrank_at_value_zero_returns_a_zero_entry_as_brute_force_does(ma
 
 
 @pytest.mark.parametrize("tol", ZERO_RANK_TOLS, ids=lambda t: t.describe())
-@pytest.mark.parametrize("make", [max_tucker, submax_tucker])
+@pytest.mark.parametrize("make", list(RANK_FUNCTIONS.values()))
 def test_extract_nrank_at_value_zero_without_a_zero_entry_raises_as_brute_force_does(make, tol):
     rf = make(tol)
     x = DenseTensor(random_tensor((2, 3, 4), seed=1).data + 10.0)  # no zero entry
@@ -700,7 +701,7 @@ def test_search_at_value_zero_returns_at_once_and_names_the_tolerance(tol, monke
     assert cert.selection.indices == ((1,), (1,), (2,))  # the first zero entry, as extract_nrank gives
     assert len(built) == 1  # that entry, and no walk before it
     x = DenseTensor(random_tensor((2, 3, 4), seed=1).data + 10.0)
-    for make in (max_tucker, submax_tucker):
+    for make in RANK_FUNCTIONS.values():
         with pytest.raises(NoFullRankError) as exc:
             extract_brute_force(make(tol), x)
         assert str(exc.value) == (

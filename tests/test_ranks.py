@@ -22,9 +22,9 @@ from tenrank import (
     scale,
     standard_fixtures,
     submax_tucker,
-    submax_tucker_rank,
 )
 from tenrank.axioms import _ranked_tensors
+from tenrank.ranks import RANK_FUNCTIONS
 from tenrank.generators import (
     counterexample_2x3x4,
     counterexample_3x2x2,
@@ -40,7 +40,7 @@ def test_counterexample_2x3x4_values():
     x = counterexample_2x3x4()
     assert n_rank(x) == (2, 3, 4)
     assert max_tucker_rank(x) == 4
-    assert submax_tucker_rank(x) == 3
+    assert submax_tucker()(x) == 3
 
 
 def test_n_rank_is_a_plain_tuple_of_ints():
@@ -54,7 +54,7 @@ def test_n_rank_is_a_plain_tuple_of_ints():
 def test_counterexample_3x2x2_values():
     x = counterexample_3x2x2()
     assert max_tucker_rank(x) == 3
-    assert submax_tucker_rank(x) == 2
+    assert submax_tucker()(x) == 2
     assert max_tucker_rank(x) > _submax(x.shape)
 
 
@@ -62,21 +62,21 @@ def test_identity_nrank_all_equal():
     for m in (2, 3, 4):
         x = identity_tensor(m, 3)
         assert n_rank(x) == (3,) * m
-        assert submax_tucker_rank(x) == 3
+        assert submax_tucker()(x) == 3
 
 
 def test_rank_one_nrank():
     x = random_rank_one((3, 4, 5), seed=2)
     assert n_rank(x) == (1, 1, 1)
     assert max_tucker_rank(x) == 1
-    assert submax_tucker_rank(x) == 1
+    assert submax_tucker()(x) == 1
 
 
 def test_zero_tensor_ranks():
     z = zero_tensor((2, 5, 3))
     assert n_rank(z) == (0, 0, 0)
     assert max_tucker_rank(z) == 0
-    assert submax_tucker_rank(z) == 0
+    assert submax_tucker()(z) == 0
 
 
 def test_submax_multiset_rule():
@@ -88,15 +88,15 @@ def test_submax_multiset_rule():
 def test_order_one_tensor_treated_as_column():
     v = DenseTensor([1.0, 2.0, 0.0])
     assert max_tucker_rank(v) == 1
-    assert submax_tucker_rank(v) == 1
-    assert submax_tucker_rank(DenseTensor([0.0, 0.0])) == 0
+    assert submax_tucker()(v) == 1
+    assert submax_tucker()(DenseTensor([0.0, 0.0])) == 0
 
 
 def test_matrix_as_order_two_tensor():
     rng = np.random.default_rng(5)
     M = (rng.integers(-2, 3, size=(4, 2)) @ rng.integers(-2, 3, size=(2, 5))).astype(float)
     x = DenseTensor(M)
-    assert submax_tucker_rank(x) == 2
+    assert submax_tucker()(x) == 2
     assert max_tucker_rank(x) == 2
 
 
@@ -144,6 +144,27 @@ def test_min_rank_declarations():
     combined = min_rank(max_tucker(), submax_tucker())
     assert "subadditive" not in combined.declared_properties
     assert "proper" in combined.declared_properties
+
+
+@pytest.mark.parametrize("key", list(RANK_FUNCTIONS))
+def test_registered_rank_functions_are_rules_on_the_n_rank_at_their_tolerance(key):
+    tol = RankTolerance("absolute", 0.5)
+    rf = RANK_FUNCTIONS[key](tol)
+    rule, kept = rf.nrank_rule
+    assert kept == tol
+    x = counterexample_2x3x4()
+    assert rule(n_rank(x, tol)) == rf(x)
+
+
+def test_min_rank_of_registered_rank_functions_keeps_the_tolerance():
+    tol = RankTolerance("relative", 0.3)
+    combined = min_rank(*(make(tol) for make in RANK_FUNCTIONS.values()))
+    assert combined.nrank_rule[1] == tol
+    assert min_rank(max_tucker(tol), submax_tucker()).nrank_rule is None  # tolerances differ
+
+
+def test_a_rank_function_built_from_an_evaluator_has_no_n_rank_rule():
+    assert RankFunction("max", max_tucker_rank).nrank_rule is None
 
 
 # --------------------------------------- n-rank shortcuts against the plain SVD

@@ -4,6 +4,7 @@ Derived expectations are computed by independent index-walk oracles (plain
 nested loops over 1-based indices), never by the code under test.
 """
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from tenrank import (
     DenseTensor,
     IndexSelection,
+    NumericError,
     SelectionError,
     add,
     fold,
@@ -20,7 +22,6 @@ from tenrank import (
     identity_tensor,
     mode_product,
     outer_product,
-    p_row,
     permute_modes,
     scale,
     subtensor,
@@ -118,6 +119,11 @@ def test_selection_errors():
         subtensor(x, IndexSelection.of((1,)))  # wrong mode count
 
 
+def p_row(x, p, q):
+    """The q-th p-row as a subtensor: mode p pinned to index q."""
+    return subtensor(x, IndexSelection.p_rows(x.shape, p, (q,)))
+
+
 def test_p_row_matrix_cases():
     m = DenseTensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert p_row(m, 1, 2).data.tolist() == [[4.0, 5.0, 6.0]]
@@ -135,9 +141,10 @@ def test_p_row_counterexample_slice():
 
 def test_p_row_range_errors():
     x = random_tensor((2, 3), seed=0)
-    with pytest.raises(SelectionError):
-        p_row(x, 3, 1)
-    with pytest.raises(SelectionError):
+    for p in (0, 3):
+        with pytest.raises(SelectionError, match=rf"mode {p} out of range 1\.\.2"):
+            p_row(x, p, 1)
+    with pytest.raises(SelectionError, match=r"mode 1: index 5 out of range 1\.\.2"):
         p_row(x, 1, 5)
 
 
@@ -336,6 +343,12 @@ def test_scale_add_norm_trivia():
     assert add(x, scale(x, -1.0)).is_zero()
     with pytest.raises(ValueError):
         add(x, random_tensor((3, 2), seed=7))
+
+
+def test_norm_past_float64_is_a_numeric_error():
+    assert frobenius_norm(DenseTensor([1e308, 1e308])) == pytest.approx(math.sqrt(2) * 1e308)  # still finite
+    with pytest.raises(NumericError, match="Frobenius norm of a 2x2 tensor exceeds the float64 range"):
+        frobenius_norm(DenseTensor([[1e308, -1e308], [1e308, 1e308]]))
 
 
 def test_adding_or_subtracting_a_non_tensor_raises_type_error():
