@@ -26,7 +26,7 @@ from .ranks import (
     n_ranks,
     submax_tucker,
 )
-from .cp import CpBounds, cp_bounds, cp_reconstruct
+from .cp import CpBounds, cp_bounds
 from .axioms import AxiomReport, FixtureSet, axiom_report, standard_fixtures, write_report
 from .fullrank import (
     FullRankCertificate,

@@ -4,25 +4,22 @@ A real 2x2x2 tensor with negative Cayley hyperdeterminant has CP rank 3
 (ten Berge 1991; de Silva and Lim 2008) although every unfolding rank is 2,
 so the CP rank is not proper.  An unknown upper bound is reported, never
 guessed.
+
+No factor set is taken as an upper bound: the CP rank is not closed, and
+factors that reproduce x to any residual bound only its border rank.
+W = e112 + e121 + e211 has CP rank 3 and border rank 2 (de Silva and Lim).
 """
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, RankTolerance
 from .ranks import n_rank
-from .tensor import DenseTensor, frobenius_norm
+from .tensor import DenseTensor
 
-__all__ = [
-    "CERTIFICATE_TOL", "CpBounds", "cp_bounds", "cp_reconstruct", "cp_residual", "hyperdeterminant_sign"
-]
-
-_LETTERS = string.ascii_lowercase[:25]  # 'z' reserved for the rank axis
-CERTIFICATE_TOL = 1e-8  # a certificate counts once its relative residual is below this
+__all__ = ["CpBounds", "cp_bounds", "hyperdeterminant_sign"]
 
 
 @dataclass(frozen=True)
@@ -35,24 +32,6 @@ class CpBounds:
     def __post_init__(self):
         if self.upper is not None and self.lower > self.upper:
             raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
-
-
-def _factor_subscripts(order: int) -> str:
-    if order > len(_LETTERS):
-        raise ValueError(f"order {order} too large for einsum-based CP routines")
-    modes = _LETTERS[:order]
-    return ",".join(f"{c}z" for c in modes) + "->" + modes
-
-
-def cp_reconstruct(factors: Sequence[np.ndarray]) -> DenseTensor:
-    """Sum of rank-one terms from per-mode factor matrices (n_j x R each)."""
-    mats = [np.asarray(f, dtype=np.float64) for f in factors]
-    return DenseTensor(np.einsum(_factor_subscripts(len(mats)), *mats, optimize=True))
-
-
-def cp_residual(x: DenseTensor, factors: Sequence[np.ndarray]) -> float:
-    """Relative Frobenius residual of a CP factor set against x."""
-    return frobenius_norm(cp_reconstruct(factors) - x) / frobenius_norm(x)
 
 
 def hyperdeterminant_sign(a: np.ndarray) -> int:
@@ -73,11 +52,7 @@ def hyperdeterminant_sign(a: np.ndarray) -> int:
     return (delta > 0) - (delta < 0)
 
 
-def cp_bounds(
-    x: DenseTensor,
-    tol: RankTolerance = DEFAULT_TOL,
-    certificate: Sequence[np.ndarray] | None = None,
-) -> CpBounds:
+def cp_bounds(x: DenseTensor, tol: RankTolerance = DEFAULT_TOL) -> CpBounds:
     """Bracket the CP rank with bounds that are exact at ``tol``.
 
     * When at most two unfolding ranks exceed 1, x is a matrix times vectors
@@ -86,9 +61,8 @@ def cp_bounds(
     * On the other 2x2x2 tensors, singleton modes allowed, the sign of the
       hyperdeterminant decides: rank 2 if positive, 3 if negative, and 2 or
       3 if zero, since no real 2x2x2 tensor has rank above 3.
-    * Where the upper bound is not yet exact, a ``certificate`` factor set
-      that reproduces x to ``CERTIFICATE_TOL`` bounds the rank by its width.
-      Without one, the upper bound of any other tensor is unknown.
+    * The upper bound of any other tensor is unknown: approximate factors
+      bound only the border rank, which can be lower (W, module docstring).
     """
     if x.order < 2:
         raise ValueError("CP bounds need order >= 2")
@@ -99,7 +73,4 @@ def cp_bounds(
         upper = lower
     elif [n for n in x.shape if n > 1] == [2, 2, 2]:  # singleton modes leave the entry order
         lower, upper = {-1: (3, 3), 0: (2, 3), 1: (2, 2)}[hyperdeterminant_sign(x.data)]
-    if certificate is not None and upper != lower and cp_residual(x, certificate) < CERTIFICATE_TOL:
-        width = int(np.asarray(certificate[0]).shape[1])
-        upper = width if upper is None else min(upper, width)
     return CpBounds(lower=lower, upper=upper)

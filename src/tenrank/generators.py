@@ -131,7 +131,9 @@ def planted_tucker(
 
     The signal is a random nonnegative-core Tucker tensor; iid Gaussian noise
     is scaled to the requested SNR and the sum is clamped at zero so entries
-    look like traffic volumes.  Fully determined by the seed.
+    look like traffic volumes.  Fully determined by the seed.  An SNR whose
+    noise underflows gives the noiseless signal; a NaN SNR, or one so low
+    that the noise overflows float64, raises ``ValueError``.
     """
     rng = np.random.default_rng(seed)
     shape = tuple(int(n) for n in shape)
@@ -140,13 +142,24 @@ def planted_tucker(
         raise ValueError(f"core_shape {core_shape} has {len(core_shape)} sizes, shape {shape} has {len(shape)}")
     if any(c > n for c, n in zip(core_shape, shape)):
         raise ValueError(f"core_shape {core_shape} does not fit in shape {shape}")
+    if math.isnan(snr_db):
+        raise ValueError("snr_db is NaN")
     core = DenseTensor(np.abs(rng.standard_normal(core_shape)))
     factors = [np.abs(np.linalg.qr(rng.standard_normal((n, r)))[0]) for n, r in zip(shape, core_shape)]
     signal = mode_products(core, factors)
+    too_low = f"snr_db {snr_db} is so low that the noise overflows float64"
     power = float(np.mean(signal.data**2))
-    noise_sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
-    noisy = signal.data + noise_sigma * rng.standard_normal(shape)
-    return DenseTensor(np.maximum(noisy, 0.0))
+    try:
+        noise_sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
+    except OverflowError:  # the noise underflows, as at snr_db=inf
+        noise_sigma = 0.0
+    except ZeroDivisionError:
+        raise ValueError(too_low) from None
+    with np.errstate(over="ignore"):
+        clamped = np.maximum(signal.data + noise_sigma * rng.standard_normal(shape), 0.0)
+    if not np.isfinite(clamped).all():
+        raise ValueError(too_low)
+    return DenseTensor(clamped)
 
 
 def matrix_embedded(matrix, trailing_ones: int = 0) -> DenseTensor:

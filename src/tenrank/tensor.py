@@ -294,7 +294,11 @@ def fold(matrix, mode: int, shape: Sequence[int]) -> DenseTensor:
 
 
 def mode_product(x: DenseTensor, matrix, mode: int) -> DenseTensor:
-    """Mode-j product: contracts mode j of x with the columns of ``matrix``."""
+    """Mode-j product: contracts mode j of x with the columns of ``matrix``.
+
+    A finite matrix whose product with x overflows float64 raises
+    :class:`NumericError`; a matrix with a NaN or Inf is a ``ValueError``.
+    """
     j = _check_mode(mode, x.order)
     A = np.asarray(matrix, dtype=np.float64)
     if A.ndim != 2:
@@ -304,7 +308,15 @@ def mode_product(x: DenseTensor, matrix, mode: int) -> DenseTensor:
             f"matrix has {A.shape[1]} columns, mode {mode} has dimension {x.shape[j]}"
         )
     new_shape = x.shape[:j] + (A.shape[0],) + x.shape[j + 1 :]
-    return fold(A @ unfold(x, mode), mode, new_shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # fold rejects the non-finite product
+        product = A @ unfold(x, mode)
+    try:
+        return fold(product, mode, new_shape)
+    except ValueError:
+        if not np.isfinite(A).all():
+            raise
+        dims = "x".join(map(str, x.shape))
+        raise NumericError(f"mode-{mode} product of a {dims} tensor overflows float64") from None
 
 
 def mode_products(x: DenseTensor, matrices: Sequence) -> DenseTensor:

@@ -186,13 +186,18 @@ def test_fn_choices_are_the_rank_function_registry():
 
 @pytest.mark.parametrize("method", ["hosvd", "st_hosvd", "hooi"])
 def test_tucker_on_a_tensor_whose_norm_overflows_is_a_numeric_error(tmp_path, capsys, method):
-    # every entry is finite, but the Frobenius norm, 2e308, is not
-    f = tmp_path / "big.tns"
-    f.write_text("3\n2 2 2\n1e308 -1e308 1e308 1e308 1 1 1 1\n")
-    outdir = tmp_path / "mb"
-    code, out, err = run(capsys, "tucker", str(f), "--ranks", "1", "1", "1", "--method", method, "--outdir", str(outdir))
-    assert (code, out) == (5, "")
-    assert err == "numeric error: Frobenius norm of a 2x2x2 tensor exceeds the float64 range\n"
+    # every entry is finite, but the Frobenius norm, 2e308, is not; in the
+    # second file a mode product overflows first
+    inputs = {
+        "1e308 -1e308 1e308 1e308 1 1 1 1": "Frobenius norm of a 2x2x2 tensor exceeds the float64 range",
+        " ".join(["1e308"] * 8): "mode-2 product of a 1x2x2 tensor overflows float64",
+    }
+    for entries, message in inputs.items():
+        f = tmp_path / "big.tns"
+        f.write_text(f"3\n2 2 2\n{entries}\n")
+        outdir = tmp_path / "mb"
+        code, out, err = run(capsys, "tucker", str(f), "--ranks", "1", "1", "1", "--method", method, "--outdir", str(outdir))
+        assert (code, out, err) == (5, "", f"numeric error: {message}\n")
 
 
 def test_tucker_verb_writes_model(tmp_path, capsys):
@@ -388,6 +393,24 @@ def test_gen_planted_tucker_names_a_core_that_does_not_fit(tmp_path, capsys, cor
 
 
 @pytest.mark.parametrize(
+    "snr, message",
+    [("nan", "snr_db is NaN"), ("-4000", "snr_db -4000.0 is so low that the noise overflows float64")],
+)
+def test_gen_planted_tucker_names_an_snr_it_cannot_meet(tmp_path, capsys, snr, message):
+    out = tmp_path / "p.tns"
+    code, stdout, err = run(capsys, "gen", "planted-tucker", "--shape", "5", "5", "--core", "2", "2", "--snr", snr, "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_gen_planted_tucker_at_an_snr_whose_noise_underflows_is_noiseless(tmp_path, capsys):
+    files = {snr: tmp_path / f"p{snr}.tns" for snr in ("4000", "inf")}
+    for snr, out in files.items():
+        assert run(capsys, "gen", "planted-tucker", "--shape", "5", "5", "--core", "2", "2", "--snr", snr, "--out", str(out))[0] == 0
+    assert files["4000"].read_bytes() == files["inf"].read_bytes()
+
+
+@pytest.mark.parametrize(
     "message, line",
     [
         ("Unable to allocate 74.5 GiB for an array", "Unable to allocate 74.5 GiB for an array"),  # numpy's
@@ -414,6 +437,8 @@ def test_out_of_memory_is_a_capacity_error(tmp_path, capsys, monkeypatch, messag
         {"seed": "x"},
         {"snr_db": "loud"},
         {"shape": [10, 4.5, 4]},
+        {"snr_db": float("nan")},
+        {"snr_db": -4000},  # the noise overflows
     ],
 )
 def test_sweep_config_rejects_bad_source_fields(tmp_path, capsys, config):

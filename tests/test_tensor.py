@@ -333,6 +333,15 @@ def test_mode_product_dimension_error():
         mode_product(random_tensor((3, 4), seed=0), np.zeros((2, 3)), 2)
 
 
+def test_an_overflowing_mode_product_is_a_numeric_error():
+    x = DenseTensor(np.full((2, 3), 1e308))
+    with pytest.raises(NumericError, match="^mode-1 product of a 2x3 tensor overflows float64$"):
+        mode_product(x, np.ones((1, 2)), 1)
+    for bad in (np.inf, np.nan):  # the matrix itself is not finite: a usage error
+        with pytest.raises(ValueError, match="must be finite"):
+            mode_product(x, [[bad, 0.0]], 1)
+
+
 # --------------------------------------------------------- scale / add / norm
 
 

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tenrank import (
     DenseTensor,
+    NumericError,
     SweepConfig,
     default_sweep_config,
     frobenius_norm,
@@ -20,6 +22,7 @@ from tenrank import (
     run_sweep,
     scale,
     st_hosvd,
+    standard_fixtures,
     sweep_to_csv,
     unfold,
 )
@@ -254,6 +257,29 @@ def test_norm_and_errors_are_scale_invariant(k):
     ref, got = hooi(x, (2, 2, 2)), hooi(y, (2, 2, 2))
     assert got.relative_error == pytest.approx(ref.relative_error, rel=1e-12)
     assert got.error_history == pytest.approx(ref.error_history, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_fits_at_the_top_of_float64_give_a_model_or_a_numeric_error(method):
+    # each nonzero seed-101 battery fixture of order >= 2, scaled by the power
+    # of two that puts its largest entry in [2^1022, 2^1023), at ranks n_j - 1;
+    # a mode product or a norm may overflow, but no usage error and no warning
+    fits = failures = 0
+    for fixture in standard_fixtures(seed=101).tensors:
+        x = fixture.tensor
+        if x.order < 2 or x.is_zero():
+            continue
+        _, exponent = math.frexp(float(np.abs(x.data).max()))
+        top = DenseTensor(np.ldexp(x.data, 1023 - exponent))
+        try:
+            model = METHODS[method](top, [max(1, n - 1) for n in x.shape])
+        except NumericError:
+            failures += 1
+            continue
+        assert math.isfinite(model.relative_error)
+        fits += 1
+    assert fits + failures == 225
+    assert fits > 0
 
 
 @settings(max_examples=50, deadline=None)
