@@ -18,22 +18,20 @@ Extras checked the same way: proper (cubic fixtures), strongly proper
 (second-largest dimension bound), subadditive (fixture pairs).  A failed
 check is data, not an error: the report records the first counterexample.
 
-Reports on one :class:`FixtureSet` share its work: each derived tensor (a
-P4 scaling, P5 permutation, P6 subtensor or pair sum) is built once, and
-each tensor's n-rank is computed once per tolerance for every rank function
-that is a rule on the n-rank.  For such a function the report ranks up
-front: it builds every derived tensor, then ranks every tensor the set's
-memo lacks in stacked SVDs, one call per unfolding shape, before any
-property runs.  rf itself is still never evaluated past a counterexample,
-and a derived tensor whose making raises (a scaling that overflows) is left
-for the property to make, which raises only if it gets that far.
+Reports on one :class:`FixtureSet` share its work through the set's two
+tables.  The first holds the derived families: a fixture's P4 scalings, P5
+permutations or P6 subtensors, or a pair's sum, each made whole on its
+first request.  A family that a scaling or sum overflowing ended keeps the
+error, which its property raises only if it gets that far.  The second
+holds, per tolerance, the n-rank of every tensor the properties rank, from
+one stacked :func:`n_ranks` call on the first report under that tolerance
+of a rank function that is a rule on the n-rank; such a report evaluates
+rf from it.  rf itself is never evaluated past a counterexample.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -83,12 +81,10 @@ class FixturePair:
 
 @dataclass(frozen=True)
 class FixtureSet:
-    """Fixtures and pairs, with what the battery derives from them kept.
-
-    The set is immutable, so nothing kept can go stale: a derived tensor is
-    built on its first request and n-ranks are memoised by tolerance, then
-    by tensor, as plain rank tuples.  Both live as long as the set, as do
-    the tolerances under which every tensor has been ranked up front.
+    """Fixtures and pairs, with two tables of what the battery derives from
+    them: the derived families by key, and the n-rank tables by tolerance.
+    Each entry is filled in one go on its first request and lives as long
+    as the set, which is immutable, so nothing kept can go stale.
     """
 
     tensors: tuple[Fixture, ...]
@@ -96,36 +92,30 @@ class FixtureSet:
     seed: int
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _n_ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ranked_up_front: set = field(default_factory=set, init=False, repr=False, compare=False)
 
-    def derived(self, key, makers):
-        """Yield, in order, the items that the makers from makers() make.
+    def derived(self, key, make) -> tuple[list, ValueError | None]:
+        """(items, error): the items of make(), and the ValueError that
+        ended them early (a scaling or sum that overflows) or None.  make()
+        runs once, on the first request for key, with numpy's overflow
+        warning off: the error speaks for the overflow."""
+        if key not in self._derived:
+            items, error = [], None
+            with np.errstate(over="ignore"):
+                try:
+                    for item in make():
+                        items.append(item)
+                except ValueError as e:
+                    error = e
+            self._derived[key] = items, error
+        return self._derived[key]
 
-        Each item is made on its first request and kept under key, as is
-        the end of the items.  makers() is called again only when the kept
-        items run out before their end, and the makers of kept items are
-        skipped uncalled, so a maker that raises raises on every request
-        that reaches it and nothing after it is made.
-        """
-        kept = self._derived.setdefault(key, [])
-        rest = None
-        for k in count():
-            if k == len(kept):
-                if rest is None:
-                    rest = islice(makers(), k, None)
-                make = next(rest, None)
-                kept.append(None if make is None else make())  # None marks the end
-            if kept[k] is None:
-                return
-            yield kept[k]
-
-    def unfolding_ranks(self, x: DenseTensor, tol: RankTolerance) -> tuple[int, ...]:
-        """n_rank(x, tol), computed once per tolerance and tensor."""
-        memo = self._n_ranks.setdefault(tol, {})
-        ranks = memo.get(x)
-        if ranks is None:
-            ranks = memo[x] = n_rank(x, tol)
-        return ranks
+    def n_rank_table(self, tol: RankTolerance) -> dict:
+        """{tensor: n_rank(tensor, tol)} for every tensor the properties
+        rank, from one :func:`n_ranks` call on the first request under tol."""
+        if tol not in self._n_ranks:
+            tensors = list(dict.fromkeys(_ranked_tensors(self)))
+            self._n_ranks[tol] = dict(zip(tensors, n_ranks(tensors, tol)))
+        return self._n_ranks[tol]
 
 
 def _is_integer_valued(x: DenseTensor) -> bool:
@@ -239,6 +229,9 @@ class AxiomReport:
 
 
 def _p1(rf, fx, tol):
+    # a table under tol holds every fixture; without one, rank and keep nothing
+    table = fx._n_ranks.get(tol)
+    unfolding_ranks = lambda x: n_rank(x, tol) if table is None else table[x]
     for f in fx.tensors:
         r = rf(f.tensor)
         if f.kind == "zero" and r != 0:
@@ -247,7 +240,7 @@ def _p1(rf, fx, tol):
             detail = "rank 0 on a nonzero tensor"
         elif f.kind == "rank1" and r != 1:
             detail = f"rank-one tensor got rank {r}"
-        elif r == 1 and f.integer_valued and any(v != 1 for v in fx.unfolding_ranks(f.tensor, tol)):
+        elif r == 1 and f.integer_valued and any(v != 1 for v in unfolding_ranks(f.tensor)):
             detail = "rank 1 on a non-rank-one tensor"
         else:
             detail = ""
@@ -273,7 +266,7 @@ def _p3(rf, fx, tol):
 def _p4(rf, fx, tol):
     for i, f in enumerate(fx.tensors):
         base = rf(f.tensor)
-        for alpha, t in zip(SCALINGS, _scalings(fx, i)):
+        for alpha, t in zip(SCALINGS, _each(_scalings(fx, i))):
             r = rf(t)
             yield f.name, (f.tensor,), r != base and f"rank {base} became {r} under alpha={alpha}"
 
@@ -281,54 +274,59 @@ def _p4(rf, fx, tol):
 def _p5(rf, fx, tol):
     for i, f in enumerate(fx.tensors):
         base = rf(f.tensor)
-        for sigma, t in _permutations(fx, i):
+        for sigma, t in _each(_permutations(fx, i)):
             r = rf(t)
             yield f.name, (f.tensor,), r != base and f"rank {base} became {r} under {sigma}"
 
 
-# The derived families, one function each: the items fx.derived keeps for
-# one fixture or pair.  The properties and _ranked_tensors both read them here.
+# The derived families, one function each: the (items, error) that
+# fx.derived keeps for one fixture or pair.  The properties read them
+# through _each, and _ranked_tensors reads their items.
 
 
 def _scalings(fx: FixtureSet, i: int):
     """Fixture i scaled by each of SCALINGS."""
     x = fx.tensors[i].tensor
-    return fx.derived(("P4", i), lambda: (partial(scale, x, alpha) for alpha in SCALINGS))
+    return fx.derived(("P4", i), lambda: (scale(x, alpha) for alpha in SCALINGS))
 
 
 def _permutations(fx: FixtureSet, i: int):
     """(sigma, fixture i with its modes permuted by sigma), sigma random."""
     x = fx.tensors[i].tensor
 
-    def makers():
+    def make():
         rng = np.random.default_rng((fx.seed, 10, i))
         for _ in range(PERMUTATIONS_PER_FIXTURE):
             sigma = tuple(int(s) + 1 for s in rng.permutation(x.order))
-            yield partial(_permuted, x, sigma)
+            yield sigma, permute_modes(x, sigma)
 
-    return fx.derived(("P5", i), makers)
-
-
-def _permuted(x: DenseTensor, sigma) -> tuple[tuple[int, ...], DenseTensor]:
-    return sigma, permute_modes(x, sigma)
+    return fx.derived(("P5", i), make)
 
 
 def _subtensors(fx: FixtureSet, i: int):
     """Random subtensors of fixture i."""
     x = fx.tensors[i].tensor
 
-    def makers():
+    def make():
         rng = np.random.default_rng((fx.seed, 11, i))
         for _ in range(SELECTIONS_PER_FIXTURE):
-            yield partial(subtensor, x, _random_selection(x.shape, rng))
+            yield subtensor(x, _random_selection(x.shape, rng))
 
-    return fx.derived(("P6", i), makers)
+    return fx.derived(("P6", i), make)
 
 
 def _sums(fx: FixtureSet, j: int):
     """The sum of pair j, as the one item of its family."""
     p = fx.pairs[j]
-    return fx.derived(("sum", j), lambda: [partial(add, p.x, p.y)])
+    return fx.derived(("sum", j), lambda: [add(p.x, p.y)])
+
+
+def _each(family):
+    """A family's items, then the error that ended it, if any."""
+    items, error = family
+    yield from items
+    if error is not None:
+        raise error
 
 
 def _random_selection(shape, rng) -> IndexSelection:
@@ -342,7 +340,7 @@ def _random_selection(shape, rng) -> IndexSelection:
 def _p6(rf, fx, tol):
     for i, f in enumerate(fx.tensors):
         base = rf(f.tensor)
-        for t in _subtensors(fx, i):
+        for t in _each(_subtensors(fx, i)):
             r = rf(t)
             yield f.name, (f.tensor,), r > base and f"subtensor rank {r} exceeds {base}"
 
@@ -365,16 +363,16 @@ def _strongly_proper(rf, fx, tol):
 def _subadditive(rf, fx, tol):
     for j, p in enumerate(fx.pairs):
         rx, ry = rf(p.x), rf(p.y)
-        rsum = rf(next(_sums(fx, j)))
+        rsum = rf(next(_each(_sums(fx, j))))
         yield p.name, (p.x, p.y), rsum > rx + ry and f"rank(x+y)={rsum} > {rx}+{ry}"
 
 
 # property name -> cases(rf, fixtures, tol), in report order.  Each case
 # is one check: (fixture name, witness tensors, failure detail), the detail
 # falsy when the check passes.  Cases are generated lazily, so no property
-# evaluates rf past its first counterexample.  Nor does it build a derived
-# tensor past it, but for a rule on the n-rank axiom_report has built and
-# ranked every derived tensor up front (see _rank_up_front).
+# evaluates rf past its first counterexample, nor asks for a derived family
+# past it.  For a rule on the n-rank, though, the set's n-rank table under
+# rf's tolerance has made every family (see FixtureSet.n_rank_table).
 PROPERTIES = {
     "P1": _p1,
     "P2": _p2,
@@ -398,64 +396,39 @@ def _check(name: str, cases) -> PropertyResult:
     return PropertyResult(name, True, checks)
 
 
-def _rank_up_front(fx: FixtureSet, tol: RankTolerance) -> None:
-    """Put in fx's memo the n-rank under tol of every tensor the properties
-    rank that the memo lacks, from one :func:`n_ranks` call, once per
-    tolerance: no later report can find one missing."""
-    if tol in fx._ranked_up_front:
-        return
-    memo = fx._n_ranks.setdefault(tol, {})
-    # a maker that overflows still raises ValueError, but warns only if its
-    # property reaches it
-    with np.errstate(over="ignore"):
-        missing = list(dict.fromkeys(t for t in _ranked_tensors(fx) if t not in memo))
-    memo.update(zip(missing, n_ranks(missing, tol)))
-    fx._ranked_up_front.add(tol)
-
-
 def _ranked_tensors(fx: FixtureSet):
     """The fixtures, the pair tensors and every derived tensor of fx."""
     yield from (f.tensor for f in fx.tensors)
     for p in fx.pairs:
         yield from (p.x, p.y)
     for i in range(len(fx.tensors)):
-        yield from _made(_scalings(fx, i))
-        yield from (t for _, t in _made(_permutations(fx, i)))
-        yield from _made(_subtensors(fx, i))
+        yield from _scalings(fx, i)[0]
+        yield from (t for _, t in _permutations(fx, i)[0])
+        yield from _subtensors(fx, i)[0]
     for j in range(len(fx.pairs)):
-        yield from _made(_sums(fx, j))
+        yield from _sums(fx, j)[0]
 
 
-def _made(family):
-    """A derived family's items up to the first maker that raises (a scaling
-    or sum that overflows).  That maker is left unkept, so the property
-    raises its error again if it reaches it, and not otherwise."""
-    try:
-        yield from family
-    except ValueError:
-        return
-
-
-def axiom_report(rf: RankFunction, fixtures: FixtureSet | None = None) -> AxiomReport:
+def axiom_report(rf: RankFunction, fixtures: FixtureSet) -> AxiomReport:
     """Run every check against the fixture set and collect per-property results.
 
     P1's converse and P3 compare with unfolding and matrix ranks under rf's
     own tolerance when rf is a rule on the n-rank, and under DEFAULT_TOL
     otherwise; the report records which.  A rule on the n-rank is evaluated
-    from the set's memo, as :func:`min_rank` does, so every such function on
-    the set shares one n-rank per tensor and tolerance.  For such a rule,
-    every tensor the properties rank is put in the memo before they run,
-    with one :func:`n_ranks` call that factors the unfoldings one SVD call
-    per shape: on the standard set some 160 calls instead of some 7,800.
+    from the set's n-rank table under its tolerance, so every such function
+    on the set shares one table per tolerance.  The table comes from one
+    :func:`n_ranks` call that factors the unfoldings one SVD call per
+    shape: on the standard set some 160 calls instead of some 7,800.  The
+    derived families, the set's other table, are made once for every
+    report on the set.
     """
-    fx = fixtures if fixtures is not None else standard_fixtures()
     if rf.nrank_rule is None:
         shared, tol = rf, DEFAULT_TOL
     else:
         rule, tol = rf.nrank_rule
-        _rank_up_front(fx, tol)
-        shared = lambda x: rule(fx.unfolding_ranks(x, tol))
-    results = [_check(name, cases(shared, fx, tol)) for name, cases in PROPERTIES.items()]
+        table = fixtures.n_rank_table(tol)
+        shared = lambda x: rule(table[x])
+    results = [_check(name, cases(shared, fixtures, tol)) for name, cases in PROPERTIES.items()]
     return AxiomReport(rank_function=rf.name, tol=tol, results=results)
 
 
@@ -478,8 +451,7 @@ def write_report(report: AxiomReport, json_path, witness_dir=None) -> dict:
         if res.witness and witness_dir is not None:
             wdir = Path(witness_dir)
             wdir.mkdir(parents=True, exist_ok=True)
-            suffixes = ("", "_b", "_c")
-            for t, suffix in zip(res.witness, suffixes):
+            for t, suffix in zip(res.witness, ("", "_b")):  # one tensor, or a pair
                 wpath = wdir / f"witness_{report.rank_function}_{res.name}{suffix}.tns"
                 write_text(t, wpath)
                 key = "witness_file" if suffix == "" else f"witness_file{suffix}"

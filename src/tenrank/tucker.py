@@ -336,7 +336,7 @@ def run_sweep(config: SweepConfig, source: DenseTensor) -> list[SweepRow]:
             model = fit(source, config.effective_ranks(r, cap), _bases=bases)
             elapsed = (time.perf_counter() - start) * 1000.0
             rows.append(SweepRow(r, cap, config.method, model.relative_error, elapsed))
-    rows.sort(key=lambda row: (row.r, 0 if row.mode1_cap == "r" else 1, _cap_key(row.mode1_cap)))
+    rows.sort(key=lambda row: (row.r, _cap_key(row.mode1_cap)))
     return rows
 
 

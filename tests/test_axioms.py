@@ -4,6 +4,7 @@ A reduced fixture battery keeps this module quick; the full-size battery runs
 in the acceptance suite.
 """
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,3 +302,17 @@ def test_ranking_up_front_leaves_a_scaling_that_overflows_to_p4():
     p1, p4 = report.result("P1"), report.result("P4")
     assert (p1.passed, p1.detail) == (False, "rank 0 on a nonzero tensor")
     assert (p4.passed, p4.checks, p4.detail) == (False, 1, "rank 0 became 1 under alpha=-2.0")
+
+
+def test_a_scaling_that_overflows_raises_its_value_error_and_no_warning():
+    # max passes P1-P3, so P4 reaches 3.0 * 7e307
+    one = DenseTensor([1.0])
+    fx = FixtureSet(
+        tensors=(Fixture("large", DenseTensor([7e307]), "random"),),
+        pairs=(FixturePair("ones", one, one),),
+        seed=0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tensor entries must be finite"):
+            axiom_report(max_tucker(), fx)

@@ -171,6 +171,14 @@ def test_axioms_verb_exit_codes(tmp_path, capsys):
     assert "max_tucker strongly_proper: FAIL" in err
 
 
+def test_axioms_without_out_prints_what_out_writes(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    _, written, _ = run(capsys, "axioms", "--fn", "submax", "--count", "5", "--out", str(report))
+    assert written == f"wrote {report}\n"
+    _, printed, _ = run(capsys, "axioms", "--fn", "submax", "--count", "5")
+    assert printed == report.read_text()
+
+
 def test_fn_choices_are_the_rank_function_registry():
     parser = build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -198,6 +206,19 @@ def test_tucker_on_a_tensor_whose_norm_overflows_is_a_numeric_error(tmp_path, ca
         outdir = tmp_path / "mb"
         code, out, err = run(capsys, "tucker", str(f), "--ranks", "1", "1", "1", "--method", method, "--outdir", str(outdir))
         assert (code, out, err) == (5, "", f"numeric error: {message}\n")
+
+
+@pytest.mark.parametrize("method", ["hosvd", "st_hosvd", "hooi"])
+def test_tucker_fit_of_a_zero_tensor_is_exact(tmp_path, capsys, method):
+    f = tmp_path / "z.tns"
+    run(capsys, "gen", "zero", "--shape", "3", "4", "5", "--out", str(f))
+    outdir = tmp_path / "mz"
+    code, out, _ = run(capsys, "tucker", str(f), "--ranks", "2", "2", "2", "--method", method, "--outdir", str(outdir))
+    assert (code, out) == (0, f"wrote {outdir} (relative_error=0.0)\n")
+    meta = json.loads((outdir / "meta.json").read_text())
+    assert (meta["iterations"], meta["error_history"]) == (0, [0.0])
+    core = read_tensor(outdir / "core.tns")
+    assert core.shape == (2, 2, 2) and core.is_zero()
 
 
 def test_tucker_verb_writes_model(tmp_path, capsys):

@@ -593,6 +593,27 @@ def test_no_full_rank_subtensor_names_the_rank_function(shape):
         closure_eval(_inflated(), x)
 
 
+def test_a_function_that_is_0_on_a_tensor_with_no_zero_entry_is_not_proper():
+    rf = RankFunction("zero_everywhere", lambda y: 0)
+    with pytest.raises(NoFullRankError, match="zero_everywhere .* is not a proper rank function"):
+        extract_brute_force(rf, DenseTensor([[1.0, 2.0], [3.0, 4.0]]))
+
+
+def test_the_search_stops_once_no_band_left_can_beat_the_best():
+    # 2 on every subtensor with a dimension of 2 or more, but 4 on x itself:
+    # the ceiling is never reached, so band 3 is walked to its end and band 2
+    # can give no more than the best, 2, found there
+    x = DenseTensor(np.arange(1.0, 10.0).reshape(3, 3))
+
+    def evaluate(y):
+        if y.is_zero():
+            return 0
+        return 4 if y == x else 2 if max(y.shape) >= 2 else 1
+
+    _, cert = extract_brute_force(RankFunction("four_on_x", evaluate), x)
+    assert (cert.rank, cert.selection.indices) == (2, ((1, 2), (1, 2, 3)))
+
+
 def test_extract_max_tucker_factors_each_unfolding_once(monkeypatch):
     # 20x400 unfoldings: 2 * rows <= cols and 8000 entries, so each goes through one QR
     x = tucker_structured((20, 20, 20), (6, 5, 4), seed=3)

@@ -387,3 +387,9 @@ def test_vector_whose_norm_overflows_has_rank_one():
         assert matrix_rank(M) == 1
         assert matrix_rank(M, RankTolerance("absolute", 1e308)) == 1
         assert len(row_basis(M)) == 1
+
+
+def test_a_one_dimensional_input_is_one_row():
+    assert matrix_rank([0.0, 3.0, 4.0]) == 1
+    assert matrix_rank([0.0, 0.0, 0.0]) == 0
+    assert row_basis([0.0, 3.0, 4.0]) == (1,)
