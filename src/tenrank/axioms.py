@@ -12,7 +12,12 @@ The six core checks:
 * P3  tensors with trailing singleton modes match the matrix rank;
 * P4  invariance under nonzero scaling;
 * P5  invariance under mode permutation;
-* P6  monotonicity under subtensor extraction.
+* P6  monotonicity under subtensor extraction: ten random subtensors per
+      fixture, each mode keeping k indices, k uniform on 1..n, as a uniform
+      k-subset.  The draws are read from the fixture's generator's 32-bit
+      stream as numpy's ``integers`` and ``choice`` would draw them (by
+      Floyd's algorithm beyond 10,000 indices, where ``choice`` may shuffle
+      a tail instead), and each subtensor is cut straight from the fixture.
 
 Extras checked the same way: proper (cubic fixtures), strongly proper
 (second-largest dimension bound), subadditive (fixture pairs).  A failed
@@ -39,7 +44,7 @@ import numpy as np
 from . import generators as gen
 from .linalg import DEFAULT_TOL, RankTolerance, matrix_rank
 from .ranks import RankFunction, n_rank, n_ranks, _submax
-from .tensor import DenseTensor, IndexSelection, add, identity_tensor, permute_modes, scale, subtensor
+from .tensor import DenseTensor, _cut, add, identity_tensor, permute_modes, scale
 
 __all__ = [
     "Fixture",
@@ -164,7 +169,7 @@ def standard_fixtures(seed: int = 0, random_count: int = 200) -> FixtureSet:
 
     rng = np.random.default_rng((seed, 3))
     for i in range(random_count):
-        order = int(rng.choice(ORDERS))
+        order = ORDERS[rng.integers(len(ORDERS))]
         if i % 10 == 0:  # keep a steady supply of cubic fixtures for the proper check
             shape = (int(rng.integers(2, MAX_DIM + 1)),) * order
         else:
@@ -183,7 +188,7 @@ def standard_fixtures(seed: int = 0, random_count: int = 200) -> FixtureSet:
     pairs = [FixturePair("block_pair", y, z)]
     rng = np.random.default_rng((seed, 7))
     for i in range(RANDOM_PAIRS):
-        order = int(rng.choice(ORDERS))
+        order = ORDERS[rng.integers(len(ORDERS))]
         shape = tuple(int(d) for d in rng.integers(1, MAX_DIM + 1, size=order))
         pairs.append(
             FixturePair(
@@ -304,13 +309,12 @@ def _permutations(fx: FixtureSet, i: int):
 
 
 def _subtensors(fx: FixtureSet, i: int):
-    """Random subtensors of fixture i."""
+    """Random subtensors of fixture i, cut straight from its entries."""
     x = fx.tensors[i].tensor
 
     def make():
         rng = np.random.default_rng((fx.seed, 11, i))
-        for _ in range(SELECTIONS_PER_FIXTURE):
-            yield subtensor(x, _random_selection(x.shape, rng))
+        return (_cut(x, picks) for picks in _random_picks(x.shape, SELECTIONS_PER_FIXTURE, rng))
 
     return fx.derived(("P6", i), make)
 
@@ -329,12 +333,51 @@ def _each(family):
         raise error
 
 
-def _random_selection(shape, rng) -> IndexSelection:
-    picks = []
-    for n in shape:
-        k = int(rng.integers(1, n + 1))
-        picks.append(tuple(sorted(i + 1 for i in rng.choice(n, size=k, replace=False).tolist())))
-    return IndexSelection(tuple(picks))
+# P6's draws, made from the generator's 32-bit words: numpy's own integers
+# and choice calls give the same integers but spend most of their time on
+# argument handling, once per mode.
+
+
+def _words(rng):
+    """rng's stream of 32-bit words, read 64 at a time."""
+    while True:
+        yield from rng.integers(0, 2**32, size=64, dtype=np.uint32).tolist()
+
+
+def _uniform(words, n: int) -> int:
+    """Uniform on 1..n, n < 2**32, as numpy's integers(1, n + 1) draws it:
+    Lemire's bounded draw (ACM TOMACS 2019), rejection step included; n = 1
+    reads no word."""
+    if n == 1:
+        return 1
+    m = next(words) * n
+    if m & 0xFFFFFFFF < n:
+        floor = 2**32 % n
+        while m & 0xFFFFFFFF < floor:
+            m = next(words) * n
+    return 1 + (m >> 32)
+
+
+def _random_picks(shape, count: int, rng):
+    """count random selections of a tensor of this shape, each a sorted list
+    of 1-based indices per mode: k uniform on 1..n, then a uniform k-subset
+    by Floyd's sampling (Bentley and Floyd, CACM 1987).  The integers are
+    those of rng.integers(1, n + 1) and a sorted Generator.choice(n, size=k,
+    replace=False), whose shuffle of the subset takes k - 1 more draws, read
+    and dropped here.  Above 10,000 indices choice may shuffle a tail
+    instead; this stays with Floyd's, which still gives a uniform k-subset."""
+    words = _words(rng)
+    for _ in range(count):
+        picks = []
+        for n in shape:
+            k, kept = _uniform(words, n), set()
+            for j in range(n - k + 1, n + 1):
+                t = _uniform(words, j)
+                kept.add(j if t in kept else t)
+            for j in range(k, 1, -1):
+                _uniform(words, j)
+            picks.append(sorted(kept))
+        yield picks
 
 
 def _p6(rf, fx, tol):

@@ -205,15 +205,21 @@ class IndexSelection:
 
 
 def subtensor(x: DenseTensor, sel: IndexSelection) -> DenseTensor:
-    """Extract the subtensor given by per-mode index subsets.
+    """Extract the subtensor given by per-mode index subsets."""
+    sel.validate_for(x.shape)
+    return _cut(x, sel.indices)
+
+
+def _cut(x: DenseTensor, indices: Sequence[Sequence[int]]) -> DenseTensor:
+    """The subtensor keeping, in each mode, the given 1-based indices, which
+    must be strictly increasing and in range: an unchecked ``subtensor``.
 
     One ``take`` per mode that drops indices (a strictly increasing mode
     that keeps all n of them is 1..n); each take is a fresh C-order array,
     and with no mode dropping anything the entries are copied once.
     """
-    sel.validate_for(x.shape)
     a = x.data
-    for axis, (mode, n) in enumerate(zip(sel.indices, x.shape)):
+    for axis, (mode, n) in enumerate(zip(indices, x.shape)):
         if len(mode) < n:
             a = a.take([i - 1 for i in mode], axis=axis)
     return DenseTensor._of_fresh(a.copy() if a is x.data else a)

@@ -14,7 +14,7 @@ from tenrank import DEFAULT_TOL, axiom_report, max_tucker, min_rank, standard_fi
 from tenrank import axioms
 from tenrank.axioms import AXIOMS, EXTRAS, PROPERTIES, Fixture, FixturePair, FixtureSet, _check, write_report
 from tenrank.linalg import RankTolerance
-from tenrank.tensor import DenseTensor
+from tenrank.tensor import DenseTensor, IndexSelection, subtensor
 from tenrank.generators import block_pair
 from tenrank.ranks import _submax
 from tenrank import RankFunction, max_tucker_rank, n_rank
@@ -197,7 +197,7 @@ def test_negative_controls_match_the_frozen_seed_101_documents(tmp_path):
     assert failed == set(AXIOMS + EXTRAS)
 
 
-DERIVING = ("scale", "permute_modes", "subtensor", "add")
+DERIVING = ("scale", "permute_modes", "_cut", "add")
 
 
 def count_calls(monkeypatch, names=DERIVING):
@@ -316,3 +316,45 @@ def test_a_scaling_that_overflows_raises_its_value_error_and_no_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="tensor entries must be finite"):
             axiom_report(max_tucker(), fx)
+
+
+def _random_selection(shape, rng) -> IndexSelection:
+    """P6's draw made by numpy's own integers and choice calls, as the
+    battery once made it: the reference for its sampler."""
+    picks = []
+    for n in shape:
+        k = int(rng.integers(1, n + 1))
+        picks.append(tuple(sorted(i + 1 for i in rng.choice(n, size=k, replace=False).tolist())))
+    return IndexSelection(tuple(picks))
+
+
+def test_p6_draws_are_numpys_draws():
+    # one selection whose modes run through every n, so each mode's draw
+    # reads the generator where the one before it stopped
+    shape = tuple(range(1, 65)) + (1000, 10000)
+    for seed in range(300):
+        (picks,) = axioms._random_picks(shape, 1, np.random.default_rng(seed))
+        expected = _random_selection(shape, np.random.default_rng(seed)).indices
+        assert [tuple(p) for p in picks] == list(expected), seed
+
+
+def test_p6_bounded_draws_take_numpys_rejection_step():
+    # about 1 in 4 words is rejected at n = 3 * 2**30, and 1 in 2 at 2**31 + 1
+    for n in (3 * 2**30, 2**31 + 1):
+        words = axioms._words(np.random.default_rng(n))
+        rng = np.random.default_rng(n)
+        expected = [int(rng.integers(1, n + 1)) for _ in range(2000)]
+        assert [axioms._uniform(words, n) for _ in range(2000)] == expected
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+def test_p6_subtensors_are_the_ones_numpys_draws_select(seed):
+    fx = standard_fixtures(seed=seed)
+    for i, f in enumerate(fx.tensors):
+        items, error = axioms._subtensors(fx, i)
+        rng = np.random.default_rng((seed, 11, i))
+        expected = [subtensor(f.tensor, _random_selection(f.tensor.shape, rng)) for _ in items]
+        assert (len(items), error) == (axioms.SELECTIONS_PER_FIXTURE, None)
+        for t, e in zip(items, expected):
+            assert (t.shape, t.data.tobytes()) == (e.shape, e.data.tobytes()), f.name
+            assert not np.shares_memory(t.data, f.tensor.data)

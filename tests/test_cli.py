@@ -324,6 +324,8 @@ def test_exit_code_usage(tmp_path, capsys):
     assert exc.value.code == 2
     code, _, _ = run(capsys, "gen", "random", "--out", str(tmp_path / "x.tns"))
     assert code == 2  # missing --shape
+    code, _, err = run(capsys, "gen", "identity", "--out", str(tmp_path / "i.tns"))
+    assert (code, err) == (2, "error: identity needs --m and --n\n")
     # the search's entry limit and HOOI's sweep cap are constants, not flags
     for argv in (
         ["fullrank", "x.tns", "--brute", "--cap", "10"],

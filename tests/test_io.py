@@ -55,6 +55,7 @@ def test_read_tensor_sniffs_format(tmp_path):
         "",
         "x\n2 2\n1 2 3 4",
         "2\n2\n1 2",
+        "3\n2 3",
         "2\n2 2\n1 2 3",
         "2\n2 2\n1 2 3 4 5",
         "2\n2 2\n1 2 3 oops",
@@ -80,6 +81,10 @@ def test_binary_errors(tmp_path):
     good.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(FormatError):
         read_binary(good)
+    nan = tmp_path / "nan.bin"
+    nan.write_bytes(b"TNS1" + struct.pack("<2Q", 1, 2) + struct.pack("<2d", 1.0, float("nan")))
+    with pytest.raises(FormatError, match="must be finite"):
+        read_binary(nan)
 
 
 def test_value_count_does_not_wrap(tmp_path):

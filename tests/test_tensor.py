@@ -117,6 +117,10 @@ def test_selection_errors():
         IndexSelection.of((1, 1), (1,))  # duplicate
     with pytest.raises(SelectionError):
         subtensor(x, IndexSelection.of((1,)))  # wrong mode count
+    with pytest.raises(SelectionError, match="indices are 1-based"):
+        IndexSelection.of((0, 1), (1,))
+    with pytest.raises(SelectionError, match="at least one mode"):
+        IndexSelection(())
 
 
 def p_row(x, p, q):
